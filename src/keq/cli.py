@@ -181,16 +181,6 @@ def read_metrics_csv(path):
 # Dataset assembly from flags
 # ---------------------------------------------------------------------------
 
-def _parse_bins(bin_flags) -> dict:
-    out = {}
-    for flag in bin_flags or []:
-        if "=" not in flag:
-            raise ValidationError(f"--bin expects name=t1,t2,...: got {flag!r}")
-        name, _, rest = flag.partition("=")
-        out[name.strip()] = tuple(float(t) for t in rest.split(","))
-    return out
-
-
 def build_covariate_space(raw_tables, covariate_names, bins: dict) -> CovariateSpace:
     """Binned variables from --bin flags; the rest categorical with levels
     pooled (sorted) across all supplied files."""
@@ -210,11 +200,9 @@ def _load_pair(args):
     cov_names = [c.strip() for c in args.covariates.split(",")] if args.covariates else []
     raw_p = read_person_csv(args.p, score_column=args.score, covariate_columns=cov_names)
     raw_q = read_person_csv(args.q, score_column=args.score, covariate_columns=cov_names)
-    bins = _parse_bins(args.bin)
-    space = build_covariate_space((raw_p, raw_q), cov_names, bins)
+    space = build_covariate_space((raw_p, raw_q), cov_names, dict(args.bin or ()))
     if args.scale:
-        lo, hi = (int(v) for v in args.scale.split(","))
-        scale_p = scale_q = ScoreScale(lo, hi)
+        scale_p = scale_q = ScoreScale(*args.scale)
     else:
         scale_p = ScoreScale(int(raw_p.scores.min()), int(raw_p.scores.max()))
         scale_q = ScoreScale(int(raw_q.scores.min()), int(raw_q.scores.max()))
@@ -244,6 +232,8 @@ def _pipeline_config(args) -> GkePipelineConfig:
 def cmd_equate(args) -> int:
     p_data, q_data = _input_phase(_load_pair, args)
     config = _input_phase(_pipeline_config, args)
+    if args.bootstrap:
+        boot = _input_phase(BootstrapConfig, args.bootstrap, args.seed)
     metadata = {"command": "equate", "design": args.design}
     if args.sequential:
         if not args.equate_covariate:
@@ -259,13 +249,10 @@ def cmd_equate(args) -> int:
         table = equate_gke(EgInput.from_datasets(p_data, q_data), config)
     metadata["method"] = table.method
     if args.bootstrap:
-        method = table.method if table.method != "EG" else "EG"
-        pipeline = PipelineSpec(method=method,
+        pipeline = PipelineSpec(method=table.method,
                                 covariate=args.equate_covariate or None,
                                 config=config)
-        result = bootstrap_see(p_data, q_data, pipeline,
-                               BootstrapConfig(args.bootstrap, args.seed),
-                               threads=args.threads)
+        result = bootstrap_see(p_data, q_data, pipeline, boot, threads=args.threads)
         table = table.with_see(result.see)
         metadata["bootstrap_replicates"] = args.bootstrap
         metadata["bootstrap_seed"] = args.seed
@@ -325,9 +312,8 @@ def cmd_simulate(args) -> int:
         scenario = _input_phase(ScenarioSpec.from_table, args.scenario)
         params = GeneratorParams()
     if args.score_range:
-        lo, hi = (int(v) for v in args.score_range.split(","))
         params = _input_phase(lambda: GeneratorParams(
-            **{**params.__dict__, "score_range": (lo, hi)}))
+            **{**params.__dict__, "score_range": args.score_range}))
     report = run_scenario(scenario, args.reps, methods=methods, seed=args.seed,
                           params=params, threads=args.threads)
     write_metrics_report(report, args.out, args.precision)
@@ -539,6 +525,38 @@ def _render_svg(panel: str, series_map: dict, width=640, height=420) -> str:
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
+# Flag values are checked by the ``type=`` functions below, so a malformed
+# one is an argparse error: exit 2 with the flag named.
+
+def _checked(kind, ok, expected: str):
+    """argparse type: ``kind(text)``, which must satisfy ``ok``."""
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+def _split_bin(text: str) -> tuple[str, tuple[float, ...]]:
+    name, sep, rest = text.partition("=")
+    if not sep:
+        raise ValueError(text)
+    return name.strip(), tuple(float(t) for t in rest.split(","))
+
+
+_omega = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+_kpen = _checked(float, lambda v: 0.0 <= v < np.inf, "a finite number >= 0")
+_bandwidth = _checked(float, lambda v: 0.0 < v < np.inf, "a finite number > 0")
+_threads = _checked(int, lambda v: v >= 1, "a positive integer (--threads or KEQ_THREADS)")
+_reps = _checked(int, lambda v: v >= 2, "an integer >= 2")
+_int_pair = _checked(lambda text: tuple(int(v) for v in text.split(",")),
+                     lambda v: len(v) == 2, "min,max integers")
+_bin_spec = _checked(_split_bin, lambda v: v[0] != "", "name=t1,t2,...")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -554,13 +572,14 @@ def build_parser() -> argparse.ArgumentParser:
     eq.add_argument("--q", required=True, help="CSV of the target-form population")
     eq.add_argument("--score", default="score", help="score column name")
     eq.add_argument("--covariates", default="", help="comma-separated covariate columns")
-    eq.add_argument("--bin", action="append",
+    eq.add_argument("--bin", action="append", type=_bin_spec,
                     help="binned covariate spec name=t1,t2,... (repeatable)")
-    eq.add_argument("--scale", help="score scale as min,max (default: inferred per file)")
-    eq.add_argument("--omega", type=float, default=None)
-    eq.add_argument("--kpen", type=float, default=1.0)
-    eq.add_argument("--bandwidth-x", type=float, default=None)
-    eq.add_argument("--bandwidth-y", type=float, default=None)
+    eq.add_argument("--scale", type=_int_pair,
+                    help="score scale as min,max (default: inferred per file)")
+    eq.add_argument("--omega", type=_omega, default=None)
+    eq.add_argument("--kpen", type=_kpen, default=1.0)
+    eq.add_argument("--bandwidth-x", type=_bandwidth, default=None)
+    eq.add_argument("--bandwidth-y", type=_bandwidth, default=None)
     eq.add_argument("--no-presmooth", action="store_true")
     eq.add_argument("--presmooth-degree", type=int, default=6)
     eq.add_argument("--interaction-degree", type=int, default=1)
@@ -575,8 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     eq.add_argument("--dump-replicates", default=None,
                     help="write the bootstrap replicate matrix CSV here")
     eq.add_argument("--seed", type=int, default=0)
-    eq.add_argument("--threads", type=int,
-                    default=int(os.environ.get("KEQ_THREADS", "1")),
+    eq.add_argument("--threads", type=_threads, default=os.environ.get("KEQ_THREADS", "1"),
                     help="parallel bootstrap replicates")
     eq.add_argument("--precision", choices=("display", "full"), default="display")
     eq.add_argument("--verbose", action="store_true")
@@ -588,13 +606,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help="built-in scenario id 1..12")
     sim.add_argument("--scenario-config", default=None,
                      help="JSON file describing a custom scenario")
-    sim.add_argument("--reps", type=int, default=100)
+    sim.add_argument("--reps", type=_reps, default=100)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--methods", default="gke,seq",
                      help="comma-separated subset of gke,seq")
-    sim.add_argument("--score-range", default=None, help="override as min,max")
-    sim.add_argument("--threads", type=int,
-                     default=int(os.environ.get("KEQ_THREADS", "1")))
+    sim.add_argument("--score-range", type=_int_pair, default=None,
+                     help="override as min,max")
+    sim.add_argument("--threads", type=_threads, default=os.environ.get("KEQ_THREADS", "1"))
     sim.add_argument("--precision", choices=("display", "full"), default="display")
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=cmd_simulate)

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr
 
-from .core import ScoreDistribution, ValidationError
+from .core import KeqError, ScoreDistribution, ValidationError
 
 __all__ = [
     "ContinuizedCdf",
@@ -36,6 +35,16 @@ INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 H_MIN = 0.05
 H_MAX_SD_FACTOR = 4.0
 PEN2_OFFSET = 0.25
+
+# inverse_cdf sizes its starting brackets to hold every p in
+# [P_TAIL, 1 - P_TAIL], the range EquatingMap clips source probabilities
+# into; a more extreme p adds bracket points beyond them.  A root is
+# accepted once its bracket is narrower than XTOL + RTOL * |x|, the
+# termination rule of Brent's method; RTOL is four machine epsilons.
+P_TAIL = 1e-12
+XTOL = 1e-13
+RTOL = 8.9e-16
+INVERSE_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -94,7 +103,9 @@ def kernel_cdf(c: ContinuizedCdf, x):
     """Continuized CDF at x (scalar or array)."""
     scalar = np.ndim(x) == 0
     u = _standardized(c, x)
-    out = ndtr(u) @ c.dist.probs
+    # A row sum, not a matrix product: BLAS rounds a row differently
+    # depending on where it sits in the batch, and the inverse must not.
+    out = (ndtr(u) * c.dist.probs).sum(axis=-1)
     return float(out) if scalar else out
 
 
@@ -185,16 +196,96 @@ def _golden_section(f, lo: float, hi: float, best: tuple[float, float],
     return best[0]
 
 
-def inverse_cdf(c: ContinuizedCdf, p: float) -> float:
-    """Unique x with CDF(x) = p, found by expanding bracket + Brent."""
-    if not (0.0 < p < 1.0):
-        raise ValidationError(f"p must lie strictly inside (0, 1), got {p}")
-    spread = float(np.sqrt(c.sigma2)) + c.h
-    lo = c.mu - 4.0 * spread
-    hi = c.mu + 4.0 * spread
-    while kernel_cdf(c, lo) >= p:
-        lo -= 2.0 * (c.mu - lo)
-    while kernel_cdf(c, hi) <= p:
-        hi += 2.0 * (hi - c.mu)
-    x = brentq(lambda t: kernel_cdf(c, t) - p, lo, hi, xtol=1e-13, rtol=8.9e-16)
-    return float(x)
+def _cdf_and_pdf(c: ContinuizedCdf, x: np.ndarray):
+    """CDF and density at every x, each row summed on its own."""
+    u = _standardized(c, x)
+    cdf = (ndtr(u) * c.dist.probs).sum(axis=-1)
+    pdf = (np.exp(-0.5 * u**2) * c.dist.probs).sum(axis=-1) * INV_SQRT_2PI / (c.a * c.h)
+    return cdf, pdf
+
+
+def _bracket_grid(c: ContinuizedCdf, p_min: float, p_max: float) -> np.ndarray:
+    """Ascending points whose CDF values bracket every p in [p_min, p_max].
+
+    2J+1 evenly spaced points about the mean span [P_TAIL, 1 - P_TAIL];
+    beyond them lie mu -/+ w * 3**k for as many k as the extreme p need.
+    Every point depends on ``c`` alone, so a given p starts from the same
+    bracket in any batch.
+    """
+    w = 4.0 * (float(np.sqrt(c.sigma2)) + c.h)
+    while kernel_cdf(c, c.mu - w) >= P_TAIL or kernel_cdf(c, c.mu + w) <= 1.0 - P_TAIL:
+        w *= 3.0
+    n_lo = n_hi = 0
+    while kernel_cdf(c, c.mu - w * 3.0**n_lo) >= p_min:
+        n_lo += 1
+    while kernel_cdf(c, c.mu + w * 3.0**n_hi) <= p_max:
+        n_hi += 1
+    return np.concatenate([
+        c.mu - w * 3.0 ** np.arange(n_lo, 0, -1),
+        c.mu + w * np.linspace(-1.0, 1.0, 2 * c.dist.scale.n_points + 1),
+        c.mu + w * 3.0 ** np.arange(1, n_hi + 1),
+    ])
+
+
+def inverse_cdf(c: ContinuizedCdf, p):
+    """The x with CDF(x) = p, for a scalar p or for every entry of an array.
+
+    All points are solved at once by a bracketed Newton iteration.  One
+    CDF evaluation on a fixed grid (see ``_bracket_grid``) gives each p a
+    starting bracket [lo, hi] with CDF(lo) < p <= CDF(hi) and a start by
+    linear interpolation.  Each step is a Newton step on CDF(x) - p,
+    replaced by bisection when it would leave the bracket or when it is
+    more than half the step before last; a step shorter than half the
+    tolerance is lengthened to it, so the far end of the bracket closes in
+    too.  A point is done when its bracket is narrower than
+    ``XTOL + RTOL * |x|``, as in Brent's method, and the end
+    with the smaller residual is returned; or when its residual is exactly
+    zero.  Finished points keep their value while the rest iterate, and
+    every arithmetic step is per point, so the result for one p does not
+    depend on the batch it is solved in.
+    """
+    scalar = np.ndim(p) == 0
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    inside = (p > 0.0) & (p < 1.0)
+    if not np.all(inside):
+        raise ValidationError(
+            f"p must lie strictly inside (0, 1), got {p[~inside][0]}"
+        )
+    if p.size == 0:
+        return p
+    grid = _bracket_grid(c, float(p.min()), float(p.max()))
+    fgrid = kernel_cdf(c, grid)
+    k = np.searchsorted(fgrid, p)  # fgrid[k - 1] < p <= fgrid[k]
+    lo, hi = grid[k - 1], grid[k]
+    r_lo, r_hi = fgrid[k - 1] - p, fgrid[k] - p
+    x = lo - r_lo * (hi - lo) / (r_hi - r_lo)
+    result = np.where(r_hi == 0.0, hi, np.nan)
+    active = r_hi != 0.0
+    step = step_before = hi - lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(INVERSE_MAX_ITER):
+            cdf, pdf = _cdf_and_pdf(c, x)
+            r = cdf - p
+            below, above = active & (r < 0.0), active & (r > 0.0)
+            lo, r_lo = np.where(below, x, lo), np.where(below, r, r_lo)
+            hi, r_hi = np.where(above, x, hi), np.where(above, r, r_hi)
+            tol = XTOL + RTOL * np.abs(x)
+            root = active & (r == 0.0)
+            closed = active & ~root & (hi - lo <= tol)
+            result = np.where(root, x, result)
+            result = np.where(closed, np.where(-r_lo <= r_hi, lo, hi), result)
+            active &= ~(root | closed)
+            if not active.any():
+                break
+            newton = r / pdf
+            newton = np.where(np.abs(newton) < 0.5 * tol, np.copysign(0.5 * tol, r), newton)
+            bisect = (~((x - newton > lo) & (x - newton < hi))
+                      | (np.abs(2.0 * newton) > np.abs(step_before)))
+            new_step = np.where(bisect, x - 0.5 * (lo + hi), newton)
+            step_before, step = step, new_step
+            x = np.where(active, x - new_step, x)
+        else:
+            raise KeqError(
+                f"inverse CDF did not converge in {INVERSE_MAX_ITER} iterations"
+            )
+    return float(result[0]) if scalar else result

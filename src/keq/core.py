@@ -139,16 +139,16 @@ class Categorical:
 
     def level_indices(self, values: np.ndarray, what: str = "dataset") -> np.ndarray:
         lookup = {level: i for i, level in enumerate(self.levels)}
-        out = np.empty(len(values), dtype=np.int64)
-        for i, v in enumerate(values):
-            try:
-                out[i] = lookup[v]
-            except KeyError:
-                raise ValidationError(
-                    f"{what}: record {i} has undeclared level {v!r} "
-                    f"for covariate {self.name!r}"
-                ) from None
-        return out
+        items = np.asarray(values).tolist()
+        try:
+            return np.fromiter(map(lookup.__getitem__, items), dtype=np.int64,
+                               count=len(items))
+        except KeyError:
+            i, v = _first_missing(items, lookup)
+            raise ValidationError(
+                f"{what}: record {i} has undeclared level {v!r} "
+                f"for covariate {self.name!r}"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -546,15 +546,20 @@ def coerce_dataset(raw: RawPersonTable, scale: ScoreScale,
                 ) from None
         else:
             lookup = {str(level): level for level in v.levels}
-            values = []
-            for i, t in enumerate(tokens):
-                if t not in lookup:
-                    raise ValidationError(
-                        f"record {i}: undeclared level {t!r} for covariate {v.name!r}"
-                    )
-                values.append(lookup[t])
+            try:
+                values = list(map(lookup.__getitem__, tokens))
+            except KeyError:
+                i, t = _first_missing(tokens, lookup)
+                raise ValidationError(
+                    f"record {i}: undeclared level {t!r} for covariate {v.name!r}"
+                ) from None
             columns[v.name] = np.asarray(values, dtype=object)
     return Dataset(scale, covariates, raw.scores, columns)
+
+
+def _first_missing(items: list, lookup: dict) -> tuple[int, object]:
+    """Index and value of the first item that is not a key of ``lookup``."""
+    return next((i, v) for i, v in enumerate(items) if v not in lookup)
 
 
 def _is_float(token: str) -> bool:

@@ -27,7 +27,7 @@ from .core import (
     ValidationError,
     tabulate_counts,
 )
-from .continuize import ContinuizedCdf, continuize, inverse_cdf, kernel_cdf
+from .continuize import P_TAIL, ContinuizedCdf, continuize, inverse_cdf, kernel_cdf
 from .presmooth import LoglinearSpec, presmooth_counts
 from .probmix import eg_probs, nec_target_probs
 
@@ -47,12 +47,6 @@ __all__ = [
     "equate_chain",
     "apply_equating",
 ]
-
-# Continuized CDF values are clipped into this open interval before
-# inversion so that zero-probability scale ends cannot underflow out of
-# the inverse CDF's domain.
-_P_CLIP = 1e-12
-
 
 class PlanError(KeqError):
     """A chain plan failed validation (cycle, missing dataset, bad reference)."""
@@ -129,7 +123,10 @@ class EquatingMap:
     """Functional equating map x -> target-scale value.
 
     Inputs clamp to the source scale ends; the source CDF value is pushed
-    through the inverse of the target CDF.
+    through the inverse of the target CDF, all points in one solve.  CDF
+    values are clipped into [P_TAIL, 1 - P_TAIL] first, so that
+    zero-probability scale ends cannot underflow out of the inverse CDF's
+    domain.
     """
 
     source_cdf: ContinuizedCdf
@@ -140,8 +137,8 @@ class EquatingMap:
         v = np.atleast_1d(np.asarray(value, dtype=float))
         scale = self.source_cdf.dist.scale
         v = np.clip(v, scale.min, scale.max)
-        p = np.clip(kernel_cdf(self.source_cdf, v), _P_CLIP, 1.0 - _P_CLIP)
-        out = np.array([inverse_cdf(self.target_cdf, pi) for pi in p])
+        p = np.clip(kernel_cdf(self.source_cdf, v), P_TAIL, 1.0 - P_TAIL)
+        out = inverse_cdf(self.target_cdf, p)
         return float(out[0]) if scalar else out
 
 

@@ -2,11 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import keq
 from keq.cli import main, read_equating_table, read_metrics_csv, write_equating_table
 from keq.core import EquatingTable, ScoreScale
 from keq.simulate import ScenarioSpec, gen_population
@@ -106,6 +111,53 @@ class TestCmdEquate:
                      "--out", str(tmp_path / "o.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--bin", "other_score=a,b"],
+        ["--scale", "0"],
+        ["--omega", "2"],
+        ["--kpen", "-1"],
+        ["--bandwidth-x", "0"],
+    ])
+    def test_malformed_flag_exits_2(self, person_files, tmp_path, capsys, flags):
+        p_path, q_path = person_files
+        argv = ["equate", "--design", "nec", "--p", str(p_path), "--q", str(q_path),
+                *NEC_FLAGS, *flags, "--out", str(tmp_path / "o.csv")]
+        assert exit_code(argv) == 2
+        assert f"argument {flags[0]}: expected" in capsys.readouterr().err
+
+    def test_malformed_keq_threads_exits_2(self, person_files, tmp_path, capsys,
+                                           monkeypatch):
+        p_path, q_path = person_files
+        monkeypatch.setenv("KEQ_THREADS", "x")
+        argv = ["equate", "--design", "eg", "--p", str(p_path), "--q", str(q_path),
+                "--out", str(tmp_path / "o.csv")]
+        assert exit_code(argv) == 2
+        assert "KEQ_THREADS" in capsys.readouterr().err
+        assert main([*argv, "--threads", "1"]) == 0
+
+    def test_too_few_bootstrap_replicates_exits_2(self, person_files, tmp_path, capsys):
+        p_path, q_path = person_files
+        code = main(["equate", "--design", "eg", "--p", str(p_path), "--q", str(q_path),
+                     "--bootstrap", "1", "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "bootstrap replicates" in capsys.readouterr().err
+
+
+def exit_code(argv) -> int:
+    """``main``'s return value, or the status of the exit argparse takes."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_import_leaves_out_scipy_optimize():
+    src = str(Path(keq.__file__).resolve().parents[1])
+    code = "import sys, keq, keq.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "False"
+
 
 class TestCmdSimulate:
     def test_smoke_report(self, tmp_path):
@@ -148,6 +200,13 @@ class TestCmdSimulate:
         assert code == 0
         per_method, _ = read_metrics_csv(out)
         assert per_method["GKE"]["score"][-1] == 80
+
+    @pytest.mark.parametrize("flags", [["--score-range", "60"], ["--reps", "1"]])
+    def test_malformed_flag_exits_2(self, tmp_path, capsys, flags):
+        argv = ["simulate", "--scenario", "1", "--reps", "2", *flags,
+                "--out", str(tmp_path / "m.csv")]
+        assert exit_code(argv) == 2
+        assert f"argument {flags[0]}: expected" in capsys.readouterr().err
 
     def test_scenario_flags_are_exclusive(self, tmp_path):
         assert main(["simulate", "--reps", "2",

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.stats import binom, norm
 
-from keq.core import ScoreDistribution, ScoreScale, ValidationError
+from keq.core import EquatingTable, ScoreDistribution, ScoreScale, ValidationError
 from keq.continuize import (
+    P_TAIL,
     ContinuizedCdf,
     continuize,
     inverse_cdf,
@@ -17,6 +18,7 @@ from keq.continuize import (
     penalty,
     select_bandwidth,
 )
+from keq.equate import EquatingMap
 
 
 def binomial_dist(n, p):
@@ -172,9 +174,51 @@ class TestInverseCdf:
 
     def test_p_outside_unit_interval(self):
         c = ContinuizedCdf(two_point(), 1.0)
-        for p in (0.0, 1.0, -0.1, 1.3):
+        for p in (0.0, 1.0, -0.1, 1.3, np.nan, [0.5, 1.0]):
             with pytest.raises(ValidationError):
                 inverse_cdf(c, p)
+
+    def test_array_call_equals_scalar_calls(self):
+        c = ContinuizedCdf(binomial_dist(20, 0.4), 0.6)
+        rng = np.random.default_rng(11)
+        p = np.concatenate([
+            rng.uniform(size=30), [1e-12, 1.0 - 1e-12, 1e-15, 1.0 - 1e-15, 0.5],
+        ])
+        p = rng.permutation(np.concatenate([p, p[::3]]))  # repeats, spread out
+        x = inverse_cdf(c, p)
+        for pi, xi in zip(p, x):
+            assert xi == inverse_cdf(c, float(pi))
+        for pi in p:
+            assert len(set(x[p == pi])) == 1
+        order = rng.permutation(len(p))
+        assert np.array_equal(inverse_cdf(c, p[order]), x[order])
+
+    def test_monotone_in_p_including_tails(self):
+        tail = np.geomspace(1e-12, 1e-3, 200)
+        p = np.concatenate([tail, np.linspace(0.002, 0.998, 500), (1.0 - tail)[::-1]])
+        for dist, h in ((binomial_dist(30, 0.7), 0.4), (two_point(), 0.7)):
+            x = inverse_cdf(ContinuizedCdf(dist, h), p)
+            assert np.all(np.diff(x) >= 0.0)
+
+    def test_clipped_tail_gets_one_root(self):
+        # Sparse samples: the source CDF reaches the clip value at several
+        # top score points, and the target density there is ~1e-10, so a
+        # batch-dependent CDF would move each root by ~1e-6 and break the
+        # equating table's monotonicity check.
+        rng = np.random.default_rng(3)
+        scale = ScoreScale(0, 30)
+        dists = [
+            ScoreDistribution(scale, np.bincount(rng.binomial(30, prob, 200),
+                                                 minlength=31) / 200)
+            for prob in (0.5, 0.55)
+        ]
+        f, g = (continuize(d) for d in dists)
+        points = scale.points.astype(float)
+        p = np.clip(kernel_cdf(f, points), P_TAIL, 1.0 - P_TAIL)
+        assert np.all(p[25:] == 1.0 - P_TAIL)
+        x = inverse_cdf(g, p)
+        assert len(set(x[25:])) == 1
+        EquatingTable(scale, EquatingMap(f, g)(points))
 
 
 class TestMomentPreservation:

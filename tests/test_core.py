@@ -11,6 +11,7 @@ from keq.core import (
     Dataset,
     EquatingTable,
     JointProbabilityTable,
+    RawPersonTable,
     ScoreDistribution,
     ScoreScale,
     TargetMixture,
@@ -94,6 +95,30 @@ class TestCovariateSpace:
     def test_binned_needs_ascending_thresholds(self):
         with pytest.raises(ValidationError):
             Binned("c", (60, 50))
+
+
+class TestLevelIndices:
+    CASES = [  # int levels (simulation path), string levels (CSV path)
+        ((0, 1), np.array([0, 1, 1, 0, 2, 1, 3])),
+        (("a", "b"), np.array(["a", "b", "b", "a", "zz", "b", "yy"], dtype=object)),
+    ]
+
+    @pytest.mark.parametrize("levels, values", CASES)
+    def test_matches_per_record_lookup(self, levels, values):
+        ok = values[:4]
+        expect = np.array([levels.index(v) for v in ok], dtype=np.int64)
+        got = Categorical("g", levels).level_indices(ok)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("levels, values", CASES)
+    def test_names_first_undeclared_record(self, levels, values):
+        bad = values.tolist()[4]
+        with pytest.raises(ValidationError, match=f"record 4 has undeclared level {bad!r} "):
+            Categorical("g", levels).level_indices(values)
+        with pytest.raises(ValidationError, match="record 4"):
+            Dataset(ScoreScale(0, 9), CovariateSpace((Categorical("g", levels),)),
+                    np.arange(len(values)), {"g": values})
 
 
 class TestDistributions:
@@ -224,6 +249,13 @@ class TestPersonCsv:
         path.write_text("score,school\n3,a,extra\n", encoding="utf-8")
         with pytest.raises(CsvFormatError, match="line 2"):
             read_person_csv(path)
+
+    def test_coerce_names_first_undeclared_record(self):
+        raw = RawPersonTable(np.array([1, 2, 3, 4, 5]),
+                             {"school": ["a", "b", "zz", "b", "yy"]})
+        space = CovariateSpace((Categorical("school", ("a", "b")),))
+        with pytest.raises(ValidationError, match="record 2: undeclared level 'zz'"):
+            coerce_dataset(raw, ScoreScale(0, 5), space)
 
     def test_undeclared_level_names_record(self, tmp_path):
         path = tmp_path / "bad.csv"
