@@ -13,7 +13,6 @@ from .core import (
     KeqError,
     ScoreDistribution,
     ScoreScale,
-    TargetMixture,
     ValidationError,
     coerce_dataset,
     discretize,
@@ -29,6 +28,7 @@ from .equate import (
     EquatingMap,
     GkePipelineConfig,
     NecInput,
+    PipelineSpec,
     PlanError,
     apply_equating,
     equate_chain,
@@ -38,7 +38,7 @@ from .equate import (
 )
 from .metrics import MetricsReport, bias, ediff, mc_see, rmse, tvd
 from .presmooth import FittedLoglinear, LoglinearSpec, build_design_matrix, fit_loglinear, presmooth_counts
-from .probmix import eg_probs, nec_target_probs
+from .probmix import nec_target_probs
 from .simulate import (
     BinaryPairParams,
     GeneratorParams,
@@ -49,6 +49,6 @@ from .simulate import (
     solve_joint_from_or,
     truth_values,
 )
-from .uncertainty import BootstrapConfig, BootstrapResult, PipelineSpec, bootstrap_see
+from .uncertainty import BootstrapConfig, BootstrapResult, bootstrap_see
 
 __version__ = "0.1.0"

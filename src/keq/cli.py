@@ -37,13 +37,10 @@ from .core import (
 from .equate import (
     ChainPlan,
     ChainStep,
-    EgInput,
     GkePipelineConfig,
-    NecInput,
+    PipelineSpec,
     PlanError,
     equate_chain,
-    equate_gke,
-    equate_sequential,
 )
 from .metrics import MetricsReport
 from .presmooth import LoglinearSpec
@@ -55,7 +52,7 @@ from .simulate import (
     ScenarioSpec,
     run_scenario,
 )
-from .uncertainty import BootstrapConfig, PipelineSpec, bootstrap_see
+from .uncertainty import BootstrapConfig, bootstrap_see
 
 METHOD_FLAGS = {"gke": METHOD_GKE, "seq": METHOD_SEQ}
 
@@ -225,34 +222,34 @@ def _pipeline_config(args) -> GkePipelineConfig:
     )
 
 
+def _pipeline_spec(args) -> PipelineSpec:
+    """The method that ``keq equate``'s flags select."""
+    if args.design == "nec" and not args.covariates:
+        raise UsageError("--design nec requires --covariates")
+    if args.sequential and not args.equate_covariate:
+        raise UsageError("--sequential requires --equate-covariate")
+    method = "sequential GKE" if args.sequential else "GKE" if args.design == "nec" else "EG"
+    return PipelineSpec(method, args.equate_covariate, _pipeline_config(args))
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 def cmd_equate(args) -> int:
+    spec = _input_phase(_pipeline_spec, args)
     p_data, q_data = _input_phase(_load_pair, args)
-    config = _input_phase(_pipeline_config, args)
     if args.bootstrap:
         boot = _input_phase(BootstrapConfig, args.bootstrap, args.seed)
     metadata = {"command": "equate", "design": args.design}
+    table = spec.run(p_data, q_data)
     if args.sequential:
-        if not args.equate_covariate:
-            raise UsageError("--sequential requires --equate-covariate")
-        table = equate_sequential(p_data, q_data, args.equate_covariate, config)
         summary = table.diagnostics["covariate_equating"]
         metadata["equated_covariate"] = args.equate_covariate
         metadata["covariate_mean_shift"] = f"{summary['mean_shift']:.4f}"
-    elif args.design == "nec":
-        table = equate_gke(NecInput.from_datasets(p_data, q_data, omega=config.omega),
-                           config)
-    else:
-        table = equate_gke(EgInput.from_datasets(p_data, q_data), config)
     metadata["method"] = table.method
     if args.bootstrap:
-        pipeline = PipelineSpec(method=table.method,
-                                covariate=args.equate_covariate or None,
-                                config=config)
-        result = bootstrap_see(p_data, q_data, pipeline, boot, threads=args.threads)
+        result = bootstrap_see(p_data, q_data, spec, boot, threads=args.threads)
         table = table.with_see(result.see)
         metadata["bootstrap_replicates"] = args.bootstrap
         metadata["bootstrap_seed"] = args.seed

@@ -14,7 +14,6 @@ import csv
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +27,6 @@ __all__ = [
     "CovariateSpace",
     "ScoreDistribution",
     "JointProbabilityTable",
-    "TargetMixture",
-    "PersonRecord",
     "Dataset",
     "EquatingTable",
     "discretize",
@@ -311,39 +308,21 @@ class JointProbabilityTable:
 
 
 @dataclass(frozen=True)
-class TargetMixture:
-    """Weight of the first population in the synthetic target population."""
-
-    omega: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.omega <= 1.0:
-            raise ValidationError(f"omega {self.omega} outside [0, 1]")
-
-    @classmethod
-    def from_sample_sizes(cls, n_first: int, n_second: int) -> "TargetMixture":
-        return cls(n_first / (n_first + n_second))
-
-
-class PersonRecord(NamedTuple):
-    score: int
-    values: dict
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Person-level scores plus raw covariate values.
 
     ``columns`` maps each covariate variable name to an array of raw
     values: levels for categorical variables, real numbers for binned
     ones (binned values may be non-integers, e.g. after an equating
-    transformation has been applied to the column).
+    transformation has been applied to the column).  Each record's
+    covariate cell index is computed once, on construction.
     """
 
     scale: ScoreScale
     covariates: CovariateSpace
     scores: np.ndarray
     columns: dict[str, np.ndarray]
+    _cells: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         scores = np.asarray(self.scores)
@@ -361,29 +340,31 @@ class Dataset:
             )
         object.__setattr__(self, "scores", _frozen_array(scores, dtype=np.int64))
         cols = {}
+        # The narrowest type that holds the cell count keeps the vector small.
+        cells = np.zeros(len(scores), dtype=np.min_scalar_type(self.covariates.n_cells))
         for v in self.covariates.variables:
             if v.name not in self.columns:
                 raise ValidationError(f"missing covariate column {v.name!r}")
             col = np.asarray(self.columns[v.name])
             if len(col) != len(scores):
                 raise ValidationError(f"column {v.name!r} length mismatch")
-            v.level_indices(col, what="dataset")  # membership / finiteness check
+            # Also the membership / finiteness check of the column's values.
+            cells *= v.n_levels
+            cells += v.level_indices(col, what="dataset").astype(cells.dtype)
             col = col.copy()
             col.setflags(write=False)
             cols[v.name] = col
+        cells.setflags(write=False)
         object.__setattr__(self, "columns", cols)
+        object.__setattr__(self, "_cells", cells)
 
     @property
     def n(self) -> int:
         return len(self.scores)
 
-    def record(self, i: int) -> PersonRecord:
-        return PersonRecord(
-            int(self.scores[i]), {k: c[i] for k, c in self.columns.items()}
-        )
-
     def cell_indices(self) -> np.ndarray:
-        return self.covariates.cell_indices(self.columns)
+        """Covariate cell index of every record (all 0 without covariates)."""
+        return self._cells
 
     def score_distribution(self) -> ScoreDistribution:
         if self.n == 0:

@@ -5,13 +5,16 @@ target-population score probabilities, continuization, equating) for the
 EG and NEC designs.  ``equate_sequential`` first equates a score-like
 covariate between the populations, replaces the covariate by its equated
 values, and then runs the main equating on the transformed data.
-``equate_chain`` executes a multi-step plan of EG/NEC equatings onto a
-single baseline form, composing the per-step maps.
+``PipelineSpec`` names one of the three methods ("EG", "GKE",
+"sequential GKE") and is the one place that maps a method name to its
+pipeline; the CLI, the bootstrap and the simulation harness run methods
+through it.  ``equate_chain`` executes a multi-step plan of EG/NEC
+equatings onto a single baseline form, composing the per-step maps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,12 +32,13 @@ from .core import (
 )
 from .continuize import P_TAIL, ContinuizedCdf, continuize, inverse_cdf, kernel_cdf
 from .presmooth import LoglinearSpec, presmooth_counts
-from .probmix import eg_probs, nec_target_probs
+from .probmix import nec_target_probs
 
 __all__ = [
     "GkePipelineConfig",
     "EgInput",
     "NecInput",
+    "PipelineSpec",
     "EquatingMap",
     "ComposedMap",
     "PlanError",
@@ -207,8 +211,7 @@ def _target_probs(design_input, config: GkePipelineConfig):
             x_dist, fx = _presmooth_marginal(design_input.x_counts, x_dist, config)
             y_dist, fy = _presmooth_marginal(design_input.y_counts, y_dist, config)
             diag["presmooth"] = {"x": _fit_summary(fx), "y": _fit_summary(fy)}
-        r, s = eg_probs(x_dist, y_dist)
-        return r, s, diag
+        return x_dist, y_dist, diag
     if isinstance(design_input, NecInput):
         p, q = design_input.p, design_input.q
         if config.presmooth is not None:
@@ -271,7 +274,6 @@ def _covariate_subdataset(data: Dataset, covariate: str,
 
 
 def equate_covariate(p_data: Dataset, q_data: Dataset, covariate: str,
-                     other_covariates: tuple[str, ...] | None = None,
                      config: GkePipelineConfig | None = None):
     """Equate a score-like covariate from the second population onto the first.
 
@@ -297,19 +299,18 @@ def equate_covariate(p_data: Dataset, q_data: Dataset, covariate: str,
         values = np.asarray(data.columns[covariate], dtype=float)
         if not np.all(values == np.round(values)):
             raise ValidationError(f"covariate {covariate!r} not integer-valued")
-    if other_covariates is None:
-        other_covariates = tuple(
-            v.name for v in p_data.covariates.variables if v.name != covariate
-        )
+    others = tuple(
+        v.name for v in p_data.covariates.variables if v.name != covariate
+    )
 
     lo = int(min(p_data.columns[covariate].min(), q_data.columns[covariate].min()))
     hi = int(max(p_data.columns[covariate].max(), q_data.columns[covariate].max()))
     cov_scale = ScoreScale(lo, hi)
-    p_sub = _covariate_subdataset(p_data, covariate, other_covariates, cov_scale)
-    q_sub = _covariate_subdataset(q_data, covariate, other_covariates, cov_scale)
+    p_sub = _covariate_subdataset(p_data, covariate, others, cov_scale)
+    q_sub = _covariate_subdataset(q_data, covariate, others, cov_scale)
 
     # Roles swap: the second population is the source of the covariate map.
-    if other_covariates:
+    if others:
         omega_cov = (1.0 - config.omega) if config.omega is not None else None
         nested = NecInput.from_datasets(q_sub, p_sub, omega=omega_cov)
     else:
@@ -349,6 +350,35 @@ def equate_sequential(p_data: Dataset, q_data: Dataset, covariate: str,
     return table
 
 
+@dataclass(frozen=True)
+class PipelineSpec:
+    """One equating method, run on a (source, target) pair of datasets.
+
+    ``method`` is "EG", "GKE" (NEC design) or "sequential GKE";
+    sequential equating also names the covariate to equate first.
+    """
+
+    method: str
+    covariate: str | None = None
+    config: GkePipelineConfig = field(default_factory=GkePipelineConfig)
+
+    def __post_init__(self):
+        if self.method not in ("EG", "GKE", "sequential GKE"):
+            raise ValidationError(f"unknown pipeline method {self.method!r}")
+        if self.method == "sequential GKE" and not self.covariate:
+            raise ValidationError("sequential pipeline needs a covariate name")
+
+    def run(self, p_data: Dataset, q_data: Dataset) -> EquatingTable:
+        # The pipeline functions are looked up by module-global name on every
+        # call, so that rebinding a name (as a tracer does) takes effect.
+        if self.method == "EG":
+            return equate_gke(EgInput.from_datasets(p_data, q_data), self.config)
+        if self.method == "GKE":
+            nec = NecInput.from_datasets(p_data, q_data, omega=self.config.omega)
+            return equate_gke(nec, self.config)
+        return equate_sequential(p_data, q_data, self.covariate, self.config)
+
+
 # ---------------------------------------------------------------------------
 # Multi-step chains onto a baseline form
 # ---------------------------------------------------------------------------
@@ -377,6 +407,11 @@ class ChainStep:
             raise PlanError(f"unknown design {self.design!r} (expected eg or nec)")
         if self.design == "nec" and not self.covariates:
             raise PlanError(f"step {self.source}->{self.target}: nec needs covariates")
+        if self.omega is not None and not (
+                isinstance(self.omega, (int, float)) and 0.0 <= self.omega <= 1.0):
+            raise PlanError(
+                f"step {self.source}->{self.target}: omega {self.omega!r} outside [0, 1]"
+            )
         object.__setattr__(self, "covariates", tuple(self.covariates))
         for attr in ("equated_covariates", "target_equated_covariates"):
             raw = getattr(self, attr)
@@ -499,11 +534,8 @@ def equate_chain(plan: ChainPlan, datasets: dict,
                     for c, ids in step.target_equated_covariates.items()}
         src = _subset_for_step(datasets[step.source], step, src_maps)
         tgt = _subset_for_step(datasets[step.target], step, tgt_maps)
-        if step.design == "eg":
-            table = equate_gke(EgInput.from_datasets(src, tgt), config, method="EG")
-        else:
-            nec = NecInput.from_datasets(src, tgt, omega=step.omega)
-            table = equate_gke(nec, config, method="GKE")
+        method = "EG" if step.design == "eg" else "GKE"
+        table = PipelineSpec(method, config=replace(config, omega=step.omega)).run(src, tgt)
         step_tables[step.id] = table
         step_maps[step.id] = table.mapping
 

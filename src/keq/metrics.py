@@ -94,7 +94,6 @@ class MetricsReport:
     ediff_points: np.ndarray | None = None
     mean_ediff: float | None = None
     dtm_exceed_fraction: float | None = None
-    mean_tvd: float | None = None
     header: dict = field(default_factory=dict)
 
     def __post_init__(self):

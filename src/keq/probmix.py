@@ -1,9 +1,11 @@
-"""Target-population score probabilities for the EG and NEC designs.
+"""Target-population score probabilities for the NEC design.
 
-Under NEC, the two populations are mixed with weight ``omega`` and the
-unobserved cross-population score distributions are identified through the
+The two populations are mixed with weight ``omega`` and the unobserved
+cross-population score distributions are identified through the
 covariates: each covariate cell is reweighted by the ratio of its marginal
-probability in the other population to its own.
+probability in the other population to its own.  (Under EG the groups
+are exchangeable, so their own score distributions are the target
+probabilities and need no function here.)
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import numpy as np
 
 from .core import JointProbabilityTable, ScoreDistribution, ValidationError
 
-__all__ = ["nec_target_probs", "eg_probs"]
+__all__ = ["nec_target_probs"]
 
 
 def nec_target_probs(p: JointProbabilityTable, q: JointProbabilityTable,
@@ -51,9 +53,3 @@ def nec_target_probs(p: JointProbabilityTable, q: JointProbabilityTable,
     r = p.probs @ w_r
     s = q.probs @ w_s
     return (ScoreDistribution(p.scale, r), ScoreDistribution(q.scale, s))
-
-
-def eg_probs(x_dist: ScoreDistribution,
-             y_dist: ScoreDistribution) -> tuple[ScoreDistribution, ScoreDistribution]:
-    """EG design: groups are exchangeable, so the group distributions pass through."""
-    return (x_dist, y_dist)

@@ -7,12 +7,16 @@ score that is a linear function of all three plus Gaussian noise.  The
 twelve built-in scenarios vary the covariate shift between populations,
 the covariate-score relationship strength, an affine difficulty
 adjustment of the second population's scores, and the sample size.
+
+``run_scenario`` runs its replications through the replication driver
+that the bootstrap uses (``uncertainty.replicate``): the same chunking,
+process pool and failure cap, with each replication keyed by its index.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -26,8 +30,9 @@ from .core import (
     ValidationError,
     substream,
 )
-from .equate import GkePipelineConfig, NecInput, equate_gke, equate_sequential
+from .equate import GkePipelineConfig, PipelineSpec
 from .metrics import MetricsReport
+from .uncertainty import replicate
 
 __all__ = [
     "ScenarioSpec",
@@ -50,8 +55,6 @@ METHOD_GKE = "GKE"
 METHOD_SEQ = "sequential GKE"
 
 SCHOOL, ATTEMPT, OTHER_SCORE = "school", "attempt", "other_score"
-
-MAX_FAILURE_FRACTION = 0.05
 
 
 @dataclass(frozen=True)
@@ -240,22 +243,18 @@ def truth_values(scenario: ScenarioSpec, scale: ScoreScale) -> np.ndarray:
     return slope * scale.points.astype(float) + intercept
 
 
-def _replicate(scenario: ScenarioSpec, params: GeneratorParams, seed: int,
-               rep: int, methods: tuple[str, ...],
-               config: GkePipelineConfig) -> dict:
-    p_data = gen_population("P", scenario, params, substream(seed, rep, 0))
-    q_data = gen_population("Q", scenario, params, substream(seed, rep, 1))
-    out = {}
-    for method in methods:
-        if method == METHOD_GKE:
-            table = equate_gke(NecInput.from_datasets(p_data, q_data,
-                                                      omega=config.omega), config)
-        elif method == METHOD_SEQ:
-            table = equate_sequential(p_data, q_data, OTHER_SCORE, config)
-        else:
-            raise ValidationError(f"unknown method {method!r}")
-        out[method] = table.equated
-    return out
+def _replications(scenario: ScenarioSpec, params: GeneratorParams, seed: int,
+                  specs: tuple[PipelineSpec, ...], start: int, stop: int):
+    """Equated vectors by method for replications [start, stop)."""
+    rows, failures = [], []
+    for rep in range(start, stop):
+        try:
+            p_data = gen_population("P", scenario, params, substream(seed, rep, 0))
+            q_data = gen_population("Q", scenario, params, substream(seed, rep, 1))
+            rows.append({s.method: s.run(p_data, q_data).equated for s in specs})
+        except KeqError as exc:
+            failures.append((rep, str(exc)))
+    return rows, failures
 
 
 def run_scenario(scenario: ScenarioSpec, replications: int,
@@ -265,39 +264,19 @@ def run_scenario(scenario: ScenarioSpec, replications: int,
                  threads: int = 1) -> MetricsReport:
     """Replicate the generate-and-equate cycle and score the results.
 
-    Both methods run on the same generated datasets within each
-    replication, so the between-method differences are paired.  Each
-    replication draws from an independent substream of ``seed``;
-    the report is identical for any ``threads`` value.
+    ``methods`` are :class:`PipelineSpec` method names; "sequential GKE"
+    equates ``other_score`` first.  All methods run on the same generated
+    datasets within each replication, so the between-method differences
+    are paired.  Each replication draws from an independent substream of
+    ``seed``; the report is identical for any ``threads`` value.
     """
     if replications < 2:
         raise ValidationError("need at least 2 replications")
     params = params or GeneratorParams()
     config = config or GkePipelineConfig()
-    args = [(scenario, params, seed, r, tuple(methods), config)
-            for r in range(replications)]
-    results: list[dict | None] = [None] * replications
-    failures: list[tuple[int, str]] = []
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_replicate, *a) for a in args]
-            for r, fut in enumerate(futures):
-                try:
-                    results[r] = fut.result()
-                except KeqError as exc:
-                    failures.append((r, str(exc)))
-    else:
-        for r, a in enumerate(args):
-            try:
-                results[r] = _replicate(*a)
-            except KeqError as exc:
-                failures.append((r, str(exc)))
-    if len(failures) > MAX_FAILURE_FRACTION * replications:
-        raise KeqError(
-            f"{len(failures)} of {replications} replications failed; first: "
-            f"rep {failures[0][0]}: {failures[0][1]}"
-        )
-    kept = [res for res in results if res is not None]
+    specs = tuple(PipelineSpec(m, OTHER_SCORE, config) for m in methods)
+    chunk = partial(_replications, scenario, params, seed, specs)
+    kept, failures = replicate(chunk, replications, threads, "replications", "rep")
     scale = params.scale()
     replicate_matrices = {
         m: np.vstack([res[m] for res in kept]) for m in methods

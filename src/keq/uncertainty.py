@@ -1,4 +1,5 @@
-"""Standard error of equating via the nonparametric bootstrap.
+"""Standard error of equating via the nonparametric bootstrap, and the
+replication driver that the bootstrap and the simulation harness share.
 
 Each replicate resamples both populations' person records with
 replacement (independent streams per population), reruns the complete
@@ -7,28 +8,56 @@ equating, the covariate-equating step — and the SEE at each score point
 is the sample standard deviation of the replicate equated values.
 Replicates are keyed by (seed, replicate index), so any partition of the
 index range (including parallel execution) reproduces the same matrix.
+
+``replicate`` runs any such index range: it splits it into contiguous
+chunks, runs them serially or on one process pool, joins the results in
+index order and caps the share of failed indices.  ``simulate`` runs its
+Monte-Carlo replications through it too.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .core import Dataset, KeqError, ValidationError, substream
-from .equate import (
-    EgInput,
-    GkePipelineConfig,
-    NecInput,
-    equate_gke,
-    equate_sequential,
-)
+from .equate import PipelineSpec
 
 __all__ = ["BootstrapConfig", "PipelineSpec", "BootstrapResult",
-           "bootstrap_replicates", "bootstrap_see"]
+           "bootstrap_replicates", "bootstrap_see", "replicate"]
 
 MAX_FAILURE_FRACTION = 0.05
+
+
+def replicate(chunk, n: int, threads: int, what: str, label: str):
+    """Run ``chunk(start, stop) -> (rows, failures)`` over the indices [0, n).
+
+    The range is split into at most ``threads`` contiguous chunks, run in
+    this process when ``threads == 1`` and on a process pool otherwise
+    (``chunk`` must then be picklable).  ``failures`` are
+    ``(index, message)`` pairs.  Rows and failures are returned in index
+    order; more than ``MAX_FAILURE_FRACTION`` of ``n`` failing is an
+    error, reported as "k of n {what} failed; first: {label} i: ...".
+    """
+    if threads == 1:
+        parts = [chunk(0, n)]
+    else:
+        bounds = np.linspace(0, n, threads + 1, dtype=int)
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            futures = [pool.submit(chunk, int(a), int(b))
+                       for a, b in zip(bounds, bounds[1:]) if a < b]
+            parts = [fut.result() for fut in futures]
+    rows = [row for part_rows, _ in parts for row in part_rows]
+    failures = [f for _, part_failures in parts for f in part_failures]
+    if len(failures) > MAX_FAILURE_FRACTION * n:
+        raise KeqError(
+            f"{len(failures)} of {n} {what} failed; first: "
+            f"{label} {failures[0][0]}: {failures[0][1]}"
+        )
+    return rows, failures
 
 
 @dataclass(frozen=True)
@@ -39,35 +68,6 @@ class BootstrapConfig:
     def __post_init__(self):
         if self.replicates < 2:
             raise ValidationError("need at least 2 bootstrap replicates")
-
-
-@dataclass(frozen=True)
-class PipelineSpec:
-    """Which equating pipeline each bootstrap replicate reruns.
-
-    ``method`` is "EG", "GKE" (NEC design) or "sequential GKE";
-    sequential equating also names the covariate to equate first.
-    """
-
-    method: str = "GKE"
-    covariate: str | None = None
-    config: GkePipelineConfig = field(default_factory=GkePipelineConfig)
-
-    def __post_init__(self):
-        if self.method not in ("EG", "GKE", "sequential GKE"):
-            raise ValidationError(f"unknown pipeline method {self.method!r}")
-        if self.method == "sequential GKE" and not self.covariate:
-            raise ValidationError("sequential pipeline needs a covariate name")
-
-    def run(self, p_data: Dataset, q_data: Dataset) -> np.ndarray:
-        if self.method == "EG":
-            table = equate_gke(EgInput.from_datasets(p_data, q_data), self.config)
-        elif self.method == "GKE":
-            nec = NecInput.from_datasets(p_data, q_data, omega=self.config.omega)
-            table = equate_gke(nec, self.config)
-        else:
-            table = equate_sequential(p_data, q_data, self.covariate, self.config)
-        return table.equated
 
 
 @dataclass(frozen=True)
@@ -89,14 +89,15 @@ def bootstrap_replicates(p_data: Dataset, q_data: Dataset, pipeline,
     pool into exactly the matrix a single full run would produce.
     """
     stop = config.replicates if stop is None else stop
-    run = pipeline.run if isinstance(pipeline, PipelineSpec) else pipeline
+    spec = pipeline if isinstance(pipeline, PipelineSpec) else None
     rows, failures = [], []
     for b in range(start, stop):
         p_idx = substream(config.seed, b, 0).integers(0, p_data.n, p_data.n)
         q_idx = substream(config.seed, b, 1).integers(0, q_data.n, q_data.n)
         try:
-            rows.append(np.asarray(run(p_data.take(p_idx), q_data.take(q_idx)),
-                                   dtype=float))
+            p_b, q_b = p_data.take(p_idx), q_data.take(q_idx)
+            equated = spec.run(p_b, q_b).equated if spec else pipeline(p_b, q_b)
+            rows.append(np.asarray(equated, dtype=float))
         except KeqError as exc:
             failures.append((b, str(exc)))
     return rows, failures
@@ -112,26 +113,9 @@ def bootstrap_see(p_data: Dataset, q_data: Dataset, pipeline,
     is an error.
     """
     config = config or BootstrapConfig()
-    if threads > 1:
-        bounds = np.linspace(0, config.replicates, threads + 1, dtype=int)
-        rows, failures = [], []
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(bootstrap_replicates, p_data, q_data, pipeline,
-                            config, int(a), int(b))
-                for a, b in zip(bounds, bounds[1:]) if a < b
-            ]
-            for fut in futures:
-                chunk_rows, chunk_failures = fut.result()
-                rows.extend(chunk_rows)
-                failures.extend(chunk_failures)
-    else:
-        rows, failures = bootstrap_replicates(p_data, q_data, pipeline, config)
-    if len(failures) > MAX_FAILURE_FRACTION * config.replicates:
-        raise KeqError(
-            f"{len(failures)} of {config.replicates} bootstrap replicates failed; "
-            f"first: replicate {failures[0][0]}: {failures[0][1]}"
-        )
+    chunk = partial(bootstrap_replicates, p_data, q_data, pipeline, config)
+    rows, failures = replicate(chunk, config.replicates, threads,
+                               "bootstrap replicates", "replicate")
     if len(rows) < 2:
         raise KeqError("fewer than 2 successful bootstrap replicates")
     matrix = np.vstack(rows)

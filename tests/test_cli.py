@@ -111,6 +111,13 @@ class TestCmdEquate:
                      "--out", str(tmp_path / "o.csv")])
         assert code == 2
 
+    def test_nec_without_covariates_exits_2(self, person_files, tmp_path, capsys):
+        p_path, q_path = person_files
+        code = main(["equate", "--design", "nec", "--p", str(p_path), "--q", str(q_path),
+                     "--scale", "0,100", "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "--covariates" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags", [
         ["--bin", "other_score=a,b"],
         ["--scale", "0"],
@@ -286,6 +293,15 @@ class TestCmdChain:
                      "--out-dir", str(tmp_path / "out")])
         assert code == 2
         assert "cycle" in capsys.readouterr().err
+
+    def test_step_omega_outside_unit_interval_exits_2(self, tmp_path, capsys):
+        plan_path = write_chain_fixture(tmp_path)
+        plan = json.loads(plan_path.read_text(encoding="utf-8"))
+        plan["steps"][2]["omega"] = 2
+        plan_path.write_text(json.dumps(plan), encoding="utf-8")
+        code = main(["chain", "--plan", str(plan_path), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "omega 2 outside [0, 1]" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         plan_path = write_chain_fixture(tmp_path)

@@ -14,7 +14,6 @@ from keq.core import (
     RawPersonTable,
     ScoreDistribution,
     ScoreScale,
-    TargetMixture,
     ValidationError,
     coerce_dataset,
     discretize,
@@ -146,11 +145,6 @@ class TestDistributions:
         assert np.allclose(t.score_marginal().probs, [0.3, 0.7])
         assert np.allclose(t.covariate_marginal(), [0.5, 0.5])
 
-    def test_mixture_weight_bounds(self):
-        with pytest.raises(ValidationError):
-            TargetMixture(1.2)
-        assert TargetMixture.from_sample_sizes(1, 3).omega == pytest.approx(0.25)
-
 
 class TestTabulate:
     def test_two_records(self):
@@ -169,6 +163,25 @@ class TestTabulate:
         d = make_dataset(scores, cells, scale=ScoreScale(0, 2))
         expect = np.array([[2, 0], [1, 2], [0, 1]]) / 6
         assert np.allclose(tabulate(d).probs, expect)
+
+    def test_dataset_without_covariates_is_one_cell(self):
+        d = Dataset(ScoreScale(0, 4), CovariateSpace(()), np.array([0, 2, 2, 4]), {})
+        assert np.array_equal(d.cell_indices(), [0, 0, 0, 0])
+        assert np.array_equal(tabulate_counts(d), [[1], [0], [2], [0], [1]])
+
+    def test_cell_indices_match_the_covariate_space(self):
+        space = CovariateSpace((Categorical("a", ("x", "y")), Binned("c", THRESHOLDS)))
+        columns = {"a": np.array(["y", "x", "y"], dtype=object),
+                   "c": np.array([49.0, 100.0, 65.0])}
+        d = Dataset(ScoreScale(0, 2), space, np.array([0, 1, 2]), columns)
+        assert np.array_equal(d.cell_indices(), space.cell_indices(columns))
+        assert np.array_equal(d.take(np.array([2, 2])).cell_indices(), [7, 7])
+
+    def test_cell_indices_of_256_levels(self):
+        space = CovariateSpace((Categorical("a", tuple(range(256))),))
+        levels = np.arange(256)
+        d = Dataset(ScoreScale(0, 0), space, np.zeros(256, dtype=int), {"a": levels})
+        assert np.array_equal(d.cell_indices(), levels)
 
     def test_empty_dataset_errors(self):
         d = make_dataset([], [], scale=ScoreScale(0, 1))
@@ -228,9 +241,9 @@ class TestPersonCsv:
         ))
         d = coerce_dataset(raw, ScoreScale(0, 5), space)
         assert d.n == 2
-        assert d.record(0).score == 3
-        assert d.record(0).values["school"] == "a"
-        assert d.record(1).values["other"] == pytest.approx(49.0)
+        assert list(d.scores) == [3, 1]
+        assert list(d.columns["school"]) == ["a", "b"]
+        assert list(d.columns["other"]) == pytest.approx([55.5, 49.0])
 
     def test_missing_value_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

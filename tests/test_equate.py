@@ -21,6 +21,7 @@ from keq.equate import (
     EgInput,
     GkePipelineConfig,
     NecInput,
+    PipelineSpec,
     PlanError,
     apply_equating,
     equate_chain,
@@ -206,6 +207,21 @@ class TestEquateSequential:
                 < np.abs(plain.equated - idx).mean())
 
 
+@pytest.mark.parametrize("method", ["EG", "GKE", "sequential GKE"])
+def test_pipeline_spec_runs_the_direct_call(method):
+    p_data, q_data = scenario_pair(5, 1500, seed=2)
+    config = GkePipelineConfig(omega=0.4)
+    if method == "EG":
+        direct = equate_gke(EgInput.from_datasets(p_data, q_data), config)
+    elif method == "GKE":
+        direct = equate_gke(NecInput.from_datasets(p_data, q_data, omega=0.4), config)
+    else:
+        direct = equate_sequential(p_data, q_data, OTHER_SCORE, config)
+    table = PipelineSpec(method, OTHER_SCORE, config).run(p_data, q_data)
+    assert table.method == method
+    assert np.array_equal(table.equated, direct.equated)
+
+
 class TestApplyEquating:
     def test_table_lookup_and_interpolation(self):
         table = EquatingTable(ScoreScale(0, 2), [1.0, 3.0, 4.0])
@@ -301,6 +317,12 @@ class TestEquateChain:
                 ChainStep(source="a", target="b"),
                 ChainStep(source="b", target="a"),
             ))
+
+    @pytest.mark.parametrize("omega", [2, -0.1, float("nan"), "0.5"])
+    def test_step_omega_outside_unit_interval_rejected(self, omega):
+        with pytest.raises(PlanError, match="omega"):
+            ChainStep(source="a", target="b", design="nec", covariates=("g",),
+                      omega=omega)
 
     def test_dead_end_subchain_gets_no_composed_table(self):
         rng = np.random.default_rng(6)

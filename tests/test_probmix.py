@@ -7,11 +7,10 @@ from keq.core import (
     Categorical,
     CovariateSpace,
     JointProbabilityTable,
-    ScoreDistribution,
     ScoreScale,
     ValidationError,
 )
-from keq.probmix import eg_probs, nec_target_probs
+from keq.probmix import nec_target_probs
 
 
 def table(probs, L=None):
@@ -105,11 +104,3 @@ def test_mismatched_spaces_rejected():
     q = JointProbabilityTable(ScoreScale(0, 1), other, [[0.2, 0.2], [0.2, 0.4]])
     with pytest.raises(ValidationError, match="covariate space"):
         nec_target_probs(p, q, 0.5)
-
-
-def test_eg_is_identity_passthrough():
-    x = ScoreDistribution(ScoreScale(0, 3), [0.1, 0.2, 0.3, 0.4])
-    y = ScoreDistribution(ScoreScale(0, 3), [0.25, 0.25, 0.25, 0.25])
-    r, s = eg_probs(x, y)
-    assert r is x and s is y
-    assert np.allclose(r.probs, x.probs)

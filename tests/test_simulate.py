@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import keq.simulate
 from keq.core import ValidationError
 from keq.simulate import (
     METHOD_GKE,
@@ -187,6 +188,14 @@ class TestRunScenario:
                      - report.per_method[METHOD_SEQ]["bias"])
         assert gap.mean() < 0.75
         assert report.mean_ediff < 1.5
+
+    def test_unknown_method_rejected_before_any_replication(self, monkeypatch):
+        def no_replication(*args, **kwargs):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(keq.simulate, "gen_population", no_replication)
+        with pytest.raises(ValidationError, match="'bogus'"):
+            run_scenario(ScenarioSpec.from_table(1), 2, methods=("bogus",))
 
     def test_needs_two_replications(self):
         with pytest.raises(ValidationError):

@@ -1,4 +1,6 @@
-"""Tests for bootstrap standard errors of equating."""
+"""Tests for bootstrap standard errors of equating and the replication driver."""
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from keq.uncertainty import (
     PipelineSpec,
     bootstrap_replicates,
     bootstrap_see,
+    replicate,
 )
 
 SPACE = CovariateSpace((Categorical("g", (0, 1)),))
@@ -31,6 +34,38 @@ def mean_shift_pipeline(p_data, q_data):
 def sample_dataset(rng, n, p=0.5, scale=ScoreScale(0, 30)):
     scores = rng.binomial(scale.max, p, size=n)
     return Dataset(scale, SPACE, scores, {"g": rng.integers(0, 2, size=n)})
+
+
+def every_kth_fails(k, start, stop):
+    """Chunk of the driver: row i is a vector of i; each k-th index fails."""
+    rows, failures = [], []
+    for i in range(start, stop):
+        if i % k == 0:
+            failures.append((i, f"synthetic failure {i}"))
+        else:
+            rows.append(np.full(3, float(i)))
+    return rows, failures
+
+
+class TestReplicate:
+    def test_more_than_five_percent_failing_raises(self):
+        # 3 of 40 is 7.5 %.
+        with pytest.raises(KeqError, match="^3 of 40 things failed; first: "
+                                           "thing 0: synthetic failure 0$"):
+            replicate(partial(every_kth_fails, 15), 40, 1, "things", "thing")
+
+    def test_up_to_five_percent_are_skipped_and_counted(self):
+        # 2 of 40 is exactly 5 %.
+        rows, failures = replicate(partial(every_kth_fails, 20), 40, 1, "things", "thing")
+        assert [i for i, _ in failures] == [0, 20]
+        assert [row[0] for row in rows] == [i for i in range(40) if i % 20]
+
+    def test_two_threads_match_one(self):
+        chunk = partial(every_kth_fails, 20)
+        serial_rows, serial_failures = replicate(chunk, 40, 1, "things", "thing")
+        rows, failures = replicate(chunk, 40, 2, "things", "thing")
+        assert failures == serial_failures
+        assert np.array_equal(np.vstack(rows), np.vstack(serial_rows))
 
 
 class TestBootstrapSee:
