@@ -24,7 +24,6 @@ from .continuize import ContinuizedCdf, continuize, inverse_cdf, kernel_cdf, ker
 from .equate import (
     ChainPlan,
     ChainStep,
-    EgInput,
     EquatingMap,
     GkePipelineConfig,
     NecInput,

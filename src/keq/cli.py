@@ -193,8 +193,12 @@ def build_covariate_space(raw_tables, covariate_names, bins: dict) -> CovariateS
     return CovariateSpace(tuple(variables))
 
 
+def _covariate_names(args) -> list[str]:
+    return [c.strip() for c in args.covariates.split(",")] if args.covariates else []
+
+
 def _load_pair(args):
-    cov_names = [c.strip() for c in args.covariates.split(",")] if args.covariates else []
+    cov_names = _covariate_names(args)
     raw_p = read_person_csv(args.p, score_column=args.score, covariate_columns=cov_names)
     raw_q = read_person_csv(args.q, score_column=args.score, covariate_columns=cov_names)
     space = build_covariate_space((raw_p, raw_q), cov_names, dict(args.bin or ()))
@@ -214,7 +218,6 @@ def _pipeline_config(args) -> GkePipelineConfig:
             score_degree=args.presmooth_degree,
             interaction_degree=args.interaction_degree,
             covariate_terms=args.covariate_terms,
-            interaction_terms=args.covariate_terms,
         )
     return GkePipelineConfig(
         presmooth=presmooth, kpen=args.kpen, omega=args.omega,
@@ -224,10 +227,25 @@ def _pipeline_config(args) -> GkePipelineConfig:
 
 def _pipeline_spec(args) -> PipelineSpec:
     """The method that ``keq equate``'s flags select."""
-    if args.design == "nec" and not args.covariates:
+    cov_names = _covariate_names(args)
+    bins = dict(args.bin or ())
+    if args.design == "nec" and not cov_names:
         raise UsageError("--design nec requires --covariates")
-    if args.sequential and not args.equate_covariate:
-        raise UsageError("--sequential requires --equate-covariate")
+    for name in bins:
+        if name not in cov_names:
+            raise UsageError(f"--bin {name}: not one of --covariates")
+    if args.sequential:
+        if args.design != "nec":
+            raise UsageError("--sequential requires --design nec")
+        if not args.equate_covariate:
+            raise UsageError("--sequential requires --equate-covariate")
+        if args.equate_covariate not in cov_names:
+            raise UsageError(
+                f"--equate-covariate {args.equate_covariate}: not one of --covariates")
+        if args.equate_covariate not in bins:
+            raise UsageError(
+                f"--equate-covariate {args.equate_covariate}: must be a binned "
+                "(score-like) covariate given by --bin")
     method = "sequential GKE" if args.sequential else "GKE" if args.design == "nec" else "EG"
     return PipelineSpec(method, args.equate_covariate, _pipeline_config(args))
 
@@ -550,6 +568,7 @@ _kpen = _checked(float, lambda v: 0.0 <= v < np.inf, "a finite number >= 0")
 _bandwidth = _checked(float, lambda v: 0.0 < v < np.inf, "a finite number > 0")
 _threads = _checked(int, lambda v: v >= 1, "a positive integer (--threads or KEQ_THREADS)")
 _reps = _checked(int, lambda v: v >= 2, "an integer >= 2")
+_seed = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _int_pair = _checked(lambda text: tuple(int(v) for v in text.split(",")),
                      lambda v: len(v) == 2, "min,max integers")
 _bin_spec = _checked(_split_bin, lambda v: v[0] != "", "name=t1,t2,...")
@@ -590,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="bootstrap replicates for SEE (0 = no SEE)")
     eq.add_argument("--dump-replicates", default=None,
                     help="write the bootstrap replicate matrix CSV here")
-    eq.add_argument("--seed", type=int, default=0)
+    eq.add_argument("--seed", type=_seed, default=0)
     eq.add_argument("--threads", type=_threads, default=os.environ.get("KEQ_THREADS", "1"),
                     help="parallel bootstrap replicates")
     eq.add_argument("--precision", choices=("display", "full"), default="display")
@@ -604,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--scenario-config", default=None,
                      help="JSON file describing a custom scenario")
     sim.add_argument("--reps", type=_reps, default=100)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=_seed, default=0)
     sim.add_argument("--methods", default="gke,seq",
                      help="comma-separated subset of gke,seq")
     sim.add_argument("--score-range", type=_int_pair, default=None,

@@ -72,15 +72,6 @@ class ContinuizedCdf:
     def a(self) -> float:
         return float(np.sqrt(self.sigma2 / (self.sigma2 + self.h**2)))
 
-    def cdf(self, x):
-        return kernel_cdf(self, x)
-
-    def pdf(self, x):
-        return kernel_pdf(self, x)
-
-    def ppf(self, p):
-        return inverse_cdf(self, p)
-
 
 def continuize(dist: ScoreDistribution, kpen: float = 1.0,
                h: float | None = None) -> ContinuizedCdf:

@@ -245,17 +245,6 @@ class CovariateSpace:
             labels.append(",".join(parts) if parts else "(all)")
         return labels
 
-    def cell_indices(self, columns: dict[str, np.ndarray], what: str = "dataset") -> np.ndarray:
-        """Vector of cell indices for per-person raw covariate columns."""
-        if not self.variables:
-            n = len(next(iter(columns.values()))) if columns else 0
-            return np.zeros(n, dtype=np.int64)
-        idx = None
-        for v in self.variables:
-            li = v.level_indices(columns[v.name], what=what)
-            idx = li if idx is None else idx * v.n_levels + li
-        return idx
-
 
 @dataclass(frozen=True)
 class ScoreDistribution:
@@ -380,6 +369,14 @@ class Dataset:
             self.scores[indices],
             {k: c[indices] for k, c in self.columns.items()},
         )
+
+    def restrict(self, names) -> "Dataset":
+        """The same records with only the covariates named in ``names``."""
+        space = CovariateSpace(
+            tuple(v for v in self.covariates.variables if v.name in names)
+        )
+        return Dataset(self.scale, space, self.scores,
+                       {name: self.columns[name] for name in space.names})
 
     def with_column(self, name: str, values: np.ndarray) -> "Dataset":
         if name not in self.columns:

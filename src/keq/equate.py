@@ -1,15 +1,19 @@
 """Equating pipelines.
 
 ``equate_gke`` runs the full kernel-equating pipeline (presmoothing,
-target-population score probabilities, continuization, equating) for the
-EG and NEC designs.  ``equate_sequential`` first equates a score-like
-covariate between the populations, replaces the covariate by its equated
-values, and then runs the main equating on the transformed data.
-``PipelineSpec`` names one of the three methods ("EG", "GKE",
-"sequential GKE") and is the one place that maps a method name to its
-pipeline; the CLI, the bootstrap and the simulation harness run methods
-through it.  ``equate_chain`` executes a multi-step plan of EG/NEC
-equatings onto a single baseline form, composing the per-step maps.
+target-population score probabilities, continuization, equating) on a
+``NecInput``, the one design input.  The EG design is NEC over the one
+cell of an empty covariate space: each population's cell marginal is 1,
+so r and s are the two score marginals; ``PipelineSpec("EG")`` runs it
+on datasets restricted to no covariates.  ``equate_sequential`` first
+equates a score-like covariate between the populations, replaces the
+covariate by its equated values, and then runs the main equating on the
+transformed data.  ``PipelineSpec`` names one of the three methods
+("EG", "GKE", "sequential GKE") and is the one place that maps a method
+name to its pipeline; the CLI, the bootstrap and the simulation harness
+run methods through it.  ``equate_chain`` executes a multi-step plan of
+EG/NEC equatings onto a single baseline form, composing the per-step
+maps.
 """
 
 from __future__ import annotations
@@ -20,12 +24,10 @@ import numpy as np
 
 from .core import (
     Binned,
-    CovariateSpace,
     Dataset,
     EquatingTable,
     JointProbabilityTable,
     KeqError,
-    ScoreDistribution,
     ScoreScale,
     ValidationError,
     tabulate_counts,
@@ -36,7 +38,6 @@ from .probmix import nec_target_probs
 
 __all__ = [
     "GkePipelineConfig",
-    "EgInput",
     "NecInput",
     "PipelineSpec",
     "EquatingMap",
@@ -70,26 +71,6 @@ class GkePipelineConfig:
     omega: float | None = None
     bandwidth_x: float | None = None
     bandwidth_y: float | None = None
-    presmooth_tol: float = 1e-8
-    presmooth_max_iter: int = 100
-
-
-@dataclass(frozen=True)
-class EgInput:
-    """Equivalent-groups design: two marginal score distributions."""
-
-    x_dist: ScoreDistribution
-    y_dist: ScoreDistribution
-    x_counts: np.ndarray | None = None
-    y_counts: np.ndarray | None = None
-
-    @classmethod
-    def from_datasets(cls, x_data: Dataset, y_data: Dataset) -> "EgInput":
-        xc = np.bincount(x_data.scale.index_of(x_data.scores),
-                         minlength=x_data.scale.n_points)
-        yc = np.bincount(y_data.scale.index_of(y_data.scores),
-                         minlength=y_data.scale.n_points)
-        return cls(x_data.score_distribution(), y_data.score_distribution(), xc, yc)
 
 
 @dataclass(frozen=True)
@@ -178,16 +159,6 @@ def apply_equating(table_or_map, value):
     return table_or_map(value)
 
 
-def _presmooth_marginal(counts: np.ndarray, dist: ScoreDistribution,
-                        config: GkePipelineConfig):
-    no_cov = CovariateSpace(())
-    fit = presmooth_counts(
-        np.asarray(counts).reshape(-1, 1), dist.scale, no_cov, config.presmooth,
-        tol=config.presmooth_tol, max_iter=config.presmooth_max_iter,
-    )
-    return fit.fitted_probs.score_marginal(), fit
-
-
 def _fit_summary(fit) -> dict:
     return {
         "converged": fit.converged,
@@ -197,53 +168,35 @@ def _fit_summary(fit) -> dict:
     }
 
 
-def _target_probs(design_input, config: GkePipelineConfig):
+def _target_probs(nec: NecInput, config: GkePipelineConfig):
     """Presmooth (when configured) and derive (r, s) plus diagnostics."""
+    p, q = nec.p, nec.q
     diag: dict = {}
-    if isinstance(design_input, EgInput):
-        x_dist, y_dist = design_input.x_dist, design_input.y_dist
-        if config.presmooth is not None:
-            if design_input.x_counts is None or design_input.y_counts is None:
-                raise ValidationError(
-                    "presmoothing requires counts; build the input from datasets "
-                    "or configure pass-through"
-                )
-            x_dist, fx = _presmooth_marginal(design_input.x_counts, x_dist, config)
-            y_dist, fy = _presmooth_marginal(design_input.y_counts, y_dist, config)
-            diag["presmooth"] = {"x": _fit_summary(fx), "y": _fit_summary(fy)}
-        return x_dist, y_dist, diag
-    if isinstance(design_input, NecInput):
-        p, q = design_input.p, design_input.q
-        if config.presmooth is not None:
-            if design_input.p_counts is None or design_input.q_counts is None:
-                raise ValidationError(
-                    "presmoothing requires counts; build the input from datasets "
-                    "or configure pass-through"
-                )
-            fp = presmooth_counts(design_input.p_counts, p.scale, p.covariates,
-                                  config.presmooth, tol=config.presmooth_tol,
-                                  max_iter=config.presmooth_max_iter)
-            fq = presmooth_counts(design_input.q_counts, q.scale, q.covariates,
-                                  config.presmooth, tol=config.presmooth_tol,
-                                  max_iter=config.presmooth_max_iter)
-            p, q = fp.fitted_probs, fq.fitted_probs
-            diag["presmooth"] = {"p": _fit_summary(fp), "q": _fit_summary(fq)}
-        r, s = nec_target_probs(p, q, design_input.omega)
-        diag["omega"] = design_input.omega
-        return r, s, diag
-    raise ValidationError(f"unsupported design input {type(design_input).__name__}")
+    if config.presmooth is not None:
+        if nec.p_counts is None or nec.q_counts is None:
+            raise ValidationError(
+                "presmoothing requires counts; build the input from datasets "
+                "or configure pass-through"
+            )
+        fp, fq = [presmooth_counts(counts, table.scale, table.covariates, config.presmooth)
+                  for counts, table in ((nec.p_counts, p), (nec.q_counts, q))]
+        p, q = fp.fitted_probs, fq.fitted_probs
+        diag["presmooth"] = {"p": _fit_summary(fp), "q": _fit_summary(fq)}
+    r, s = nec_target_probs(p, q, nec.omega)
+    diag["omega"] = nec.omega
+    return r, s, diag
 
 
-def equate_gke(design_input, config: GkePipelineConfig | None = None,
-               method: str | None = None) -> EquatingTable:
+def equate_gke(nec: NecInput, config: GkePipelineConfig | None = None,
+               method: str = "GKE") -> EquatingTable:
     """Kernel equating of the source form onto the target form's scale.
 
-    Returns the equated value at every source score point; the exact
-    functional map is attached as ``.mapping`` for evaluation at
-    non-integer points and for chain composition.
+    Returns the equated value at every source score point, labelled
+    ``method``; the exact functional map is attached as ``.mapping`` for
+    evaluation at non-integer points and for chain composition.
     """
     config = config or GkePipelineConfig()
-    r, s, diag = _target_probs(design_input, config)
+    r, s, diag = _target_probs(nec, config)
     if r.variance <= 0:
         raise ValidationError("source distribution degenerate")
     if s.variance <= 0:
@@ -254,8 +207,6 @@ def equate_gke(design_input, config: GkePipelineConfig | None = None,
     diag["h_y"] = g.h
     mapping = EquatingMap(f, g)
     equated = mapping(r.scale.points.astype(float))
-    if method is None:
-        method = "GKE" if isinstance(design_input, NecInput) else "EG"
     return EquatingTable(r.scale, equated, see=None, method=method,
                          diagnostics=diag, mapping=mapping)
 
@@ -266,21 +217,20 @@ def equate_gke(design_input, config: GkePipelineConfig | None = None,
 
 def _covariate_subdataset(data: Dataset, covariate: str,
                           others: tuple[str, ...], scale) -> Dataset:
-    sub_space = CovariateSpace(
-        tuple(v for v in data.covariates.variables if v.name in others)
-    )
-    return Dataset(scale, sub_space, np.round(data.columns[covariate]).astype(int),
-                   {name: data.columns[name] for name in others})
+    """``covariate`` as the score, with ``others`` as the covariates."""
+    rest = data.restrict(others)
+    return Dataset(scale, rest.covariates, np.round(data.columns[covariate]).astype(int),
+                   rest.columns)
 
 
 def equate_covariate(p_data: Dataset, q_data: Dataset, covariate: str,
                      config: GkePipelineConfig | None = None):
     """Equate a score-like covariate from the second population onto the first.
 
-    The covariate plays the score role in a nested equating run (NEC with
-    the remaining covariates, or EG when there are none); the returned
-    map sends second-population covariate values onto the first
-    population's covariate scale.  The transformed dataset carries the
+    The covariate plays the score role in a nested NEC run over the
+    remaining covariates (EG, the one-cell case, when there are none);
+    the returned map sends second-population covariate values onto the
+    first population's covariate scale.  The transformed dataset carries the
     real-valued equated covariate in place of the original column.
 
     The nested run's mixture weight is the complement of the main run's
@@ -310,13 +260,9 @@ def equate_covariate(p_data: Dataset, q_data: Dataset, covariate: str,
     q_sub = _covariate_subdataset(q_data, covariate, others, cov_scale)
 
     # Roles swap: the second population is the source of the covariate map.
-    if others:
-        omega_cov = (1.0 - config.omega) if config.omega is not None else None
-        nested = NecInput.from_datasets(q_sub, p_sub, omega=omega_cov)
-    else:
-        nested = EgInput.from_datasets(q_sub, p_sub)
-    table = equate_gke(nested, config)
-    mapping = table.mapping
+    omega_cov = (1.0 - config.omega) if config.omega is not None else None
+    nested = NecInput.from_datasets(q_sub, p_sub, omega=omega_cov)
+    mapping = equate_gke(nested, config).mapping
     transformed = _evaluate_unique(mapping, q_data.columns[covariate])
     return mapping, q_data.with_column(covariate, transformed)
 
@@ -371,12 +317,13 @@ class PipelineSpec:
     def run(self, p_data: Dataset, q_data: Dataset) -> EquatingTable:
         # The pipeline functions are looked up by module-global name on every
         # call, so that rebinding a name (as a tracer does) takes effect.
+        if self.method == "sequential GKE":
+            return equate_sequential(p_data, q_data, self.covariate, self.config)
         if self.method == "EG":
-            return equate_gke(EgInput.from_datasets(p_data, q_data), self.config)
-        if self.method == "GKE":
-            nec = NecInput.from_datasets(p_data, q_data, omega=self.config.omega)
-            return equate_gke(nec, self.config)
-        return equate_sequential(p_data, q_data, self.covariate, self.config)
+            # EG is NEC over the one cell of an empty covariate space.
+            p_data, q_data = p_data.restrict(()), q_data.restrict(())
+        nec = NecInput.from_datasets(p_data, q_data, omega=self.config.omega)
+        return equate_gke(nec, self.config, method=self.method)
 
 
 # ---------------------------------------------------------------------------
@@ -509,11 +456,7 @@ def _subset_for_step(data: Dataset, step: ChainStep, replacements: dict) -> Data
         for m in maps:
             values = _evaluate_unique(m, values)
         data = data.with_column(col, values)
-    keep = CovariateSpace(
-        tuple(v for v in data.covariates.variables if v.name in step.covariates)
-    )
-    return Dataset(data.scale, keep, data.scores,
-                   {n: data.columns[n] for n in keep.names})
+    return data.restrict(step.covariates)
 
 
 def equate_chain(plan: ChainPlan, datasets: dict,

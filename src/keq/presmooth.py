@@ -40,12 +40,12 @@ class LoglinearSpec:
     """Structure of the presmoothing model.
 
     ``score_degree`` polynomial terms of the (standardized) score,
-    optional covariate main effects, and interactions of the score
-    polynomial up to ``interaction_degree`` with the covariate dummies.
+    covariate main effects, and interactions of the score polynomial up
+    to ``interaction_degree`` with the covariate dummies.
 
-    ``covariate_terms`` picks the coding of the covariate main effects
-    and ``interaction_terms`` that of the score-by-covariate interaction
-    terms.  "cells" codes every covariate cell separately (a saturated
+    ``covariate_terms`` picks the coding of the covariate columns, used
+    both for the main effects and for the score-by-covariate
+    interactions.  "cells" codes every covariate cell separately (a saturated
     covariate structure, so fitted cell marginals reproduce the observed
     ones exactly — which the target-population weighting of the NEC
     design depends on), "variables" codes each covariate's own levels as
@@ -57,21 +57,18 @@ class LoglinearSpec:
     """
 
     score_degree: int = 6
-    covariate_main_effects: bool = True
     interaction_degree: int = 1
     covariate_terms: str = "cells"
-    interaction_terms: str = "cells"
 
     def __post_init__(self):
         if self.score_degree < 1:
             raise ValidationError("score_degree must be >= 1")
         if not 0 <= self.interaction_degree <= self.score_degree:
             raise ValidationError("need score_degree >= interaction_degree >= 0")
-        for field_name in ("covariate_terms", "interaction_terms"):
-            if getattr(self, field_name) not in ("variables", "cells", "numeric"):
-                raise ValidationError(
-                    f"{field_name} must be 'variables', 'cells' or 'numeric'"
-                )
+        if self.covariate_terms not in ("variables", "cells", "numeric"):
+            raise ValidationError(
+                "covariate_terms must be 'variables', 'cells' or 'numeric'"
+            )
 
 
 @dataclass(frozen=True)
@@ -120,14 +117,12 @@ def build_design_matrix(scale: ScoreScale, covariates: CovariateSpace,
     x_rows = np.repeat(xs, L)
     for d in range(1, spec.score_degree + 1):
         cols.append(x_rows**d)
-    if spec.covariate_main_effects:
-        mains = np.tile(_covariate_dummies(covariates, spec.covariate_terms), (J, 1))
-        for k in range(mains.shape[1]):
-            cols.append(mains[:, k])
-    inter = np.tile(_covariate_dummies(covariates, spec.interaction_terms), (J, 1))
+    dummies = np.tile(_covariate_dummies(covariates, spec.covariate_terms), (J, 1))
+    for k in range(dummies.shape[1]):
+        cols.append(dummies[:, k])
     for d in range(1, spec.interaction_degree + 1):
-        for k in range(inter.shape[1]):
-            cols.append(x_rows**d * inter[:, k])
+        for k in range(dummies.shape[1]):
+            cols.append(x_rows**d * dummies[:, k])
     design = np.column_stack(cols)
     m = design.shape[1]
     if m > J * L or (m == J * L and not allow_saturated):

@@ -3,9 +3,10 @@
 The two populations are mixed with weight ``omega`` and the unobserved
 cross-population score distributions are identified through the
 covariates: each covariate cell is reweighted by the ratio of its marginal
-probability in the other population to its own.  (Under EG the groups
-are exchangeable, so their own score distributions are the target
-probabilities and need no function here.)
+probability in the other population to its own.  The EG design is the
+case of one cell (an empty covariate space): both cell marginals are 1,
+so r and s are the two score marginals.  ``PipelineSpec("EG")`` runs it
+through this function on datasets restricted to no covariates.
 """
 
 from __future__ import annotations

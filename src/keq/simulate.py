@@ -137,6 +137,9 @@ class GeneratorParams:
     # equating); it also matches the covariate test's 0-100 scale.
     score_range: tuple[int, int] = (0, 100)
 
+    def __post_init__(self):
+        self.scale()  # an empty or non-integer score range is a ValidationError
+
     def scale(self) -> ScoreScale:
         return ScoreScale(*self.score_range)
 

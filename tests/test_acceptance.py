@@ -26,7 +26,7 @@ from keq.core import (
     ScoreScale,
     tabulate_counts,
 )
-from keq.equate import EgInput, GkePipelineConfig, NecInput, equate_gke, equate_sequential
+from keq.equate import GkePipelineConfig, NecInput, equate_gke, equate_sequential
 from keq.presmooth import LoglinearSpec, build_design_matrix, fit_loglinear
 from keq.probmix import nec_target_probs
 from keq.simulate import (
@@ -109,7 +109,11 @@ def test_criterion_04_linear_equating_limit():
     config = GkePipelineConfig(presmooth=None,
                                bandwidth_x=50 * math.sqrt(x.variance),
                                bandwidth_y=50 * math.sqrt(y.variance))
-    table = equate_gke(EgInput(x, y), config)
+    # The EG design: NEC over J x 1 tables on an empty covariate space.
+    space = CovariateSpace(())
+    eg = NecInput(JointProbabilityTable(scale, space, x.probs[:, None]),
+                  JointProbabilityTable(scale, space, y.probs[:, None]), 0.5)
+    table = equate_gke(eg, config)
     linear = y.mean + math.sqrt(y.variance / x.variance) * (pts - x.mean)
     gap = float(np.max(np.abs(table.equated - linear)))
     report(4, gap < 0.05, f"max |kernel - linear| = {gap:.2e} (<0.05)")

@@ -124,6 +124,7 @@ class TestCmdEquate:
         ["--omega", "2"],
         ["--kpen", "-1"],
         ["--bandwidth-x", "0"],
+        ["--seed", "-1", "--bootstrap", "3"],
     ])
     def test_malformed_flag_exits_2(self, person_files, tmp_path, capsys, flags):
         p_path, q_path = person_files
@@ -131,6 +132,22 @@ class TestCmdEquate:
                 *NEC_FLAGS, *flags, "--out", str(tmp_path / "o.csv")]
         assert exit_code(argv) == 2
         assert f"argument {flags[0]}: expected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--design", "eg", *NEC_FLAGS, "--sequential",
+          "--equate-covariate", "other_score"], "--sequential"),
+        (["--design", "nec", *NEC_FLAGS, "--sequential",
+          "--equate-covariate", "nosuch"], "--equate-covariate"),
+        (["--design", "nec", *NEC_FLAGS, "--sequential",
+          "--equate-covariate", "school"], "--equate-covariate"),
+        (["--design", "nec", "--covariates", "school", "--bin", "nosuch=1,2"], "--bin"),
+    ])
+    def test_inconsistent_flags_exit_2(self, person_files, tmp_path, capsys, flags, named):
+        p_path, q_path = person_files
+        code = main(["equate", "--p", str(p_path), "--q", str(q_path), *flags,
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert f"error: {named}" in capsys.readouterr().err
 
     def test_malformed_keq_threads_exits_2(self, person_files, tmp_path, capsys,
                                            monkeypatch):
@@ -208,12 +225,29 @@ class TestCmdSimulate:
         per_method, _ = read_metrics_csv(out)
         assert per_method["GKE"]["score"][-1] == 80
 
-    @pytest.mark.parametrize("flags", [["--score-range", "60"], ["--reps", "1"]])
+    @pytest.mark.parametrize("flags", [["--score-range", "60"], ["--reps", "1"],
+                                       ["--seed", "-1"]])
     def test_malformed_flag_exits_2(self, tmp_path, capsys, flags):
         argv = ["simulate", "--scenario", "1", "--reps", "2", *flags,
                 "--out", str(tmp_path / "m.csv")]
         assert exit_code(argv) == 2
         assert f"argument {flags[0]}: expected" in capsys.readouterr().err
+
+    def test_empty_score_range_flag_exits_2(self, tmp_path, capsys):
+        code = main(["simulate", "--scenario", "5", "--reps", "2",
+                     "--score-range", "100,0", "--out", str(tmp_path / "m.csv")])
+        assert code == 2
+        assert "error: empty score scale [100, 0]" in capsys.readouterr().err
+
+    def test_empty_score_range_in_config_exits_2(self, tmp_path, capsys):
+        config = {"relationship": "strong", "n": 800,
+                  "generator": {"score_range": [80, 0]}}
+        cfg_path = tmp_path / "scenario.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        code = main(["simulate", "--scenario-config", str(cfg_path), "--reps", "2",
+                     "--out", str(tmp_path / "m.csv")])
+        assert code == 2
+        assert "error: empty score scale [80, 0]" in capsys.readouterr().err
 
     def test_scenario_flags_are_exclusive(self, tmp_path):
         assert main(["simulate", "--reps", "2",

@@ -89,7 +89,6 @@ class TestCovariateSpace:
     def test_empty_space_is_single_cell(self):
         space = CovariateSpace(())
         assert space.n_cells == 1
-        assert space.cell_indices({}) .shape == (0,)
 
     def test_binned_needs_ascending_thresholds(self):
         with pytest.raises(ValidationError):
@@ -174,8 +173,21 @@ class TestTabulate:
         columns = {"a": np.array(["y", "x", "y"], dtype=object),
                    "c": np.array([49.0, 100.0, 65.0])}
         d = Dataset(ScoreScale(0, 2), space, np.array([0, 1, 2]), columns)
-        assert np.array_equal(d.cell_indices(), space.cell_indices(columns))
+        assert np.array_equal(d.cell_indices(), [5, 4, 7])
         assert np.array_equal(d.take(np.array([2, 2])).cell_indices(), [7, 7])
+
+    def test_restrict_keeps_the_named_covariates(self):
+        space = CovariateSpace((Categorical("a", ("x", "y")), Binned("c", THRESHOLDS)))
+        columns = {"a": np.array(["y", "x", "y"], dtype=object),
+                   "c": np.array([49.0, 100.0, 65.0])}
+        d = Dataset(ScoreScale(0, 2), space, np.array([0, 1, 2]), columns)
+        only_c = d.restrict(("c",))
+        assert only_c.covariates == CovariateSpace((Binned("c", THRESHOLDS),))
+        assert np.array_equal(only_c.cell_indices(), [0, 4, 2])
+        assert np.array_equal(only_c.scores, d.scores)
+        bare = d.restrict(())
+        assert bare.columns == {}
+        assert np.array_equal(tabulate_counts(bare), [[1], [1], [1]])
 
     def test_cell_indices_of_256_levels(self):
         space = CovariateSpace((Categorical("a", tuple(range(256))),))

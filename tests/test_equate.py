@@ -10,6 +10,7 @@ from keq.core import (
     CovariateSpace,
     Dataset,
     EquatingTable,
+    JointProbabilityTable,
     ScoreDistribution,
     ScoreScale,
     ValidationError,
@@ -18,7 +19,6 @@ from keq.core import (
 from keq.equate import (
     ChainPlan,
     ChainStep,
-    EgInput,
     GkePipelineConfig,
     NecInput,
     PipelineSpec,
@@ -40,6 +40,13 @@ def gaussian_dist(scale, mean, sd):
     return ScoreDistribution(scale, probs / probs.sum())
 
 
+def one_cell(x, y, omega=0.5):
+    """The EG design: NEC over J x 1 tables on an empty covariate space."""
+    space = CovariateSpace(())
+    return NecInput(JointProbabilityTable(x.scale, space, x.probs[:, None]),
+                    JointProbabilityTable(y.scale, space, y.probs[:, None]), omega)
+
+
 def scenario_pair(sid, n, seed=0):
     from dataclasses import replace
 
@@ -51,7 +58,7 @@ def scenario_pair(sid, n, seed=0):
 class TestEquateGke:
     def test_identical_distributions_give_identity(self):
         d = gaussian_dist(ScoreScale(0, 40), 20.0, 6.0)
-        table = equate_gke(EgInput(d, d), PASSTHROUGH)
+        table = equate_gke(one_cell(d, d), PASSTHROUGH)
         assert np.max(np.abs(table.equated - d.scale.points)) < 1e-6
 
     def test_exact_shift_is_recovered(self):
@@ -60,7 +67,7 @@ class TestEquateGke:
         base = norm.pdf(np.arange(41.0), 20.0, 6.0)
         x = ScoreDistribution(ScoreScale(0, 40), base / base.sum())
         y = ScoreDistribution(ScoreScale(3, 43), base / base.sum())
-        table = equate_gke(EgInput(x, y), PASSTHROUGH)
+        table = equate_gke(one_cell(x, y), PASSTHROUGH)
         pts = x.scale.points
         mid = slice(2, 39)  # middle 90% of the scale
         assert np.max(np.abs(table.equated[mid] - (pts[mid] + 3))) < 0.1
@@ -72,7 +79,7 @@ class TestEquateGke:
         hx = 50 * np.sqrt(x.variance)
         hy = 50 * np.sqrt(y.variance)
         table = equate_gke(
-            EgInput(x, y),
+            one_cell(x, y),
             GkePipelineConfig(presmooth=None, bandwidth_x=hx, bandwidth_y=hy),
         )
         pts = sx.points.astype(float)
@@ -83,8 +90,8 @@ class TestEquateGke:
         sx = ScoreScale(0, 40)
         x = gaussian_dist(sx, 19.0, 6.0)
         y = gaussian_dist(sx, 23.0, 5.0)
-        fwd = equate_gke(EgInput(x, y), PASSTHROUGH).mapping
-        back = equate_gke(EgInput(y, x), PASSTHROUGH).mapping
+        fwd = equate_gke(one_cell(x, y), PASSTHROUGH).mapping
+        back = equate_gke(one_cell(y, x), PASSTHROUGH).mapping
         pts = sx.points.astype(float)[2:39]
         round_trip = np.array([back(fwd(p)) for p in pts])
         assert np.max(np.abs(round_trip - pts)) < 0.5
@@ -101,12 +108,12 @@ class TestEquateGke:
         x = gaussian_dist(ScoreScale(0, 10), 5.0, 2.0)
         y = ScoreDistribution(ScoreScale(0, 10), [0, 0, 0, 1.0] + [0] * 7)
         with pytest.raises(ValidationError, match="target distribution degenerate"):
-            equate_gke(EgInput(x, y), PASSTHROUGH)
+            equate_gke(one_cell(x, y), PASSTHROUGH)
 
     def test_presmoothing_requires_counts(self):
         d = gaussian_dist(ScoreScale(0, 10), 5.0, 2.0)
         with pytest.raises(ValidationError, match="counts"):
-            equate_gke(EgInput(d, d), GkePipelineConfig())
+            equate_gke(one_cell(d, d), GkePipelineConfig())
 
     def test_monotone_output(self):
         p_data, q_data = scenario_pair(5, 3000, seed=1)
@@ -212,7 +219,8 @@ def test_pipeline_spec_runs_the_direct_call(method):
     p_data, q_data = scenario_pair(5, 1500, seed=2)
     config = GkePipelineConfig(omega=0.4)
     if method == "EG":
-        direct = equate_gke(EgInput.from_datasets(p_data, q_data), config)
+        direct = equate_gke(NecInput.from_datasets(p_data.restrict(()), q_data.restrict(()),
+                                                   omega=0.4), config)
     elif method == "GKE":
         direct = equate_gke(NecInput.from_datasets(p_data, q_data, omega=0.4), config)
     else:
@@ -220,6 +228,16 @@ def test_pipeline_spec_runs_the_direct_call(method):
     table = PipelineSpec(method, OTHER_SCORE, config).run(p_data, q_data)
     assert table.method == method
     assert np.array_equal(table.equated, direct.equated)
+
+
+def test_eg_ignores_covariates_and_omega():
+    p_data, q_data = scenario_pair(5, 1500, seed=2)
+    bare = (p_data.restrict(()), q_data.restrict(()))
+    base = PipelineSpec("EG").run(*bare).equated
+    for omega in (None, 0.2, 0.8):
+        spec = PipelineSpec("EG", config=GkePipelineConfig(omega=omega))
+        for data in ((p_data, q_data), bare):
+            assert np.max(np.abs(spec.run(*data).equated - base)) < 1e-12
 
 
 class TestApplyEquating:
@@ -235,7 +253,7 @@ class TestApplyEquating:
 
     def test_functional_map_evaluation(self):
         d = gaussian_dist(ScoreScale(0, 40), 20.0, 6.0)
-        mapping = equate_gke(EgInput(d, d), PASSTHROUGH).mapping
+        mapping = equate_gke(one_cell(d, d), PASSTHROUGH).mapping
         assert mapping(17.25) == pytest.approx(17.25, abs=1e-6)
         assert apply_equating(mapping, 17.25) == pytest.approx(17.25, abs=1e-6)
 

@@ -42,19 +42,19 @@ class TestDesignMatrix:
 
     def test_study_default_dimensions(self):
         spec = LoglinearSpec(score_degree=6, interaction_degree=1,
-                             covariate_terms="cells", interaction_terms="cells")
+                             covariate_terms="cells")
         design = build_design_matrix(ScoreScale(0, 95), full_space(), spec)
         assert design.shape == (96 * 20, 1 + 6 + 19 + 19)
 
     def test_full_column_rank(self):
         spec = LoglinearSpec(score_degree=6, interaction_degree=1,
-                             covariate_terms="cells", interaction_terms="cells")
+                             covariate_terms="cells")
         design = build_design_matrix(ScoreScale(0, 95), full_space(), spec)
         assert np.linalg.matrix_rank(design) == design.shape[1]
 
     def test_numeric_coding_dimensions(self):
         spec = LoglinearSpec(score_degree=6, interaction_degree=1,
-                             covariate_terms="numeric", interaction_terms="numeric")
+                             covariate_terms="numeric")
         design = build_design_matrix(ScoreScale(0, 95), full_space(), spec)
         assert design.shape == (96 * 20, 1 + 6 + 3 + 3)
 
