@@ -8,8 +8,8 @@ Commands::
     keq chain     --plan plan.json --out-dir DIR ...
     keq plot-data INPUT.csv [...] --out long.csv [--svg DIR]
 
-Exit codes: 0 success, 2 malformed input (CSV, config, plan), 3 pipeline
-error.  All outputs are deterministic given flags and seed.
+Exit codes: 0 success, 2 malformed or unreadable input (flags, CSVs,
+config, plan), 3 pipeline error.  Outputs are deterministic given flags and seed.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -78,136 +79,143 @@ def _fmt(value, precision: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# Result CSVs: '#' metadata lines, a header that names the kind, data rows
 # ---------------------------------------------------------------------------
+
+TABLE_HEADER = "score,equated,see,method"
+METRICS_HEADER = "score,method,bias,see,rmse"
+SUMMARY_ROWS = ("mean_ediff", "dtm_exceed")
+
+
+# The kind each header names and its fields' conversions (a table's SEE may be empty).
+_RESULT_KINDS = {
+    TABLE_HEADER: ("table", (int, float, lambda t: float(t) if t else None, str)),
+    METRICS_HEADER: ("metrics", (int, str, float, float, float)),
+}
+
+
+def _read_result_csv(path) -> tuple[str, list[tuple[int, list]]]:
+    """Kind ("table" or "metrics") and converted data rows, with their line
+    numbers, of a result CSV; a metrics summary row reads as [name, value]."""
+    kind, rows = None, []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if kind is None:
+                if line not in _RESULT_KINDS:
+                    raise CsvFormatError(f"{path}: unrecognized header {line!r}", line=lineno)
+                kind, types = _RESULT_KINDS[line]
+                continue
+            parts = line.split(",")
+            row_types = (str, float) if kind == "metrics" and parts[0] in SUMMARY_ROWS else types
+            if len(parts) != len(row_types):
+                raise CsvFormatError(f"expected {len(row_types)} fields", line=lineno)
+            try:
+                rows.append((lineno, [t(f) for t, f in zip(row_types, parts)]))
+            except ValueError:
+                raise CsvFormatError(f"malformed value in {line!r}", line=lineno) from None
+    if not rows:
+        raise CsvFormatError(f"{path}: no data rows")
+    return kind, rows
+
+
+def _write_csv(path, header: str, rows, metadata: dict | None = None) -> None:
+    """'# key: value' metadata lines, the header, then one line per row."""
+    lines = [f"# {k}: {v}" for k, v in (metadata or {}).items()]
+    lines += [header, *(",".join(map(str, row)) for row in rows)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
 
 def write_equating_table(table: EquatingTable, path, precision: str = "display",
                          metadata: dict | None = None) -> None:
     """CSV columns score,equated,see,method; '#'-prefixed metadata lines."""
-    lines = [f"# {k}: {v}" for k, v in (metadata or {}).items()]
-    lines.append("score,equated,see,method")
-    for i, score in enumerate(table.source_scale.points):
-        see = "" if table.see is None else _fmt(table.see[i], precision)
-        lines.append(
-            f"{score},{_fmt(table.equated[i], precision)},{see},{table.method}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    see = [None] * table.source_scale.n_points if table.see is None else table.see
+    _write_csv(path, TABLE_HEADER, (
+        (s, _fmt(e, precision), _fmt(v, precision), table.method)
+        for s, e, v in zip(table.source_scale.points, table.equated, see)
+    ), metadata)
 
 
 def read_equating_table(path) -> EquatingTable:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        lineno = 0
-        header = None
-        for raw in fh:
-            lineno += 1
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                if header[:4] != ["score", "equated", "see", "method"]:
-                    raise CsvFormatError("not an equating table CSV", line=lineno)
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise CsvFormatError("expected 4 fields", line=lineno)
-            rows.append(parts)
-    if not rows:
-        raise CsvFormatError("no data rows", line=1)
-    scores = [int(r[0]) for r in rows]
-    scale = ScoreScale(min(scores), max(scores))
-    if scores != list(range(scale.min, scale.max + 1)):
-        raise CsvFormatError("score points are not consecutive")
-    equated = np.array([float(r[1]) for r in rows])
-    sees = [r[2] for r in rows]
-    see = None if all(s == "" for s in sees) else np.array([float(s) for s in sees])
-    return EquatingTable(scale, equated, see, rows[0][3])
+    """Parse a CSV written by :func:`write_equating_table`."""
+    kind, rows = _read_result_csv(path)
+    if kind != "table":
+        raise CsvFormatError(f"{path}: not an equating table CSV")
+    first = rows[0][1][0]
+    for i, (lineno, row) in enumerate(rows):
+        if row[0] != first + i:
+            raise CsvFormatError("score points are not consecutive", line=lineno)
+    _, equated, see, method = zip(*(row for _, row in rows))
+    see = None if all(s is None for s in see) else np.array(see, dtype=float)
+    return EquatingTable(ScoreScale(first, first + len(rows) - 1), equated, see, method[0])
 
 
 def write_metrics_report(report: MetricsReport, path, precision: str = "display") -> None:
     """CSV `score,method,bias,see,rmse` plus summary footer rows."""
-    lines = [f"# {k}: {v}" for k, v in report.header.items()]
-    lines.append("score,method,bias,see,rmse")
-    for method, vecs in report.per_method.items():
-        for i, s in enumerate(report.score_points):
-            lines.append(
-                f"{s},{method},{_fmt(vecs['bias'][i], precision)},"
-                f"{_fmt(vecs['see'][i], precision)},{_fmt(vecs['rmse'][i], precision)}"
-            )
+    rows = [
+        (s, method, *(_fmt(vecs[k][i], precision) for k in ("bias", "see", "rmse")))
+        for method, vecs in report.per_method.items()
+        for i, s in enumerate(report.score_points)
+    ]
     if report.mean_ediff is not None:
-        lines.append(f"mean_ediff,{_fmt(report.mean_ediff, precision)}")
-        lines.append(f"dtm_exceed,{_fmt(report.dtm_exceed_fraction, precision)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        summary = (report.mean_ediff, report.dtm_exceed_fraction)
+        rows += [(name, _fmt(v, precision)) for name, v in zip(SUMMARY_ROWS, summary)]
+    _write_csv(path, METRICS_HEADER, rows, report.header)
 
 
 def read_metrics_csv(path):
     """Parse a metrics CSV back into per-method vectors plus summary values."""
-    per_method: dict = {}
-    summary: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        lineno = 0
-        header = None
-        for raw in fh:
-            lineno += 1
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                if header != ["score", "method", "bias", "see", "rmse"]:
-                    raise CsvFormatError("not a metrics CSV", line=lineno)
-                continue
-            parts = line.split(",")
-            if parts[0] in ("mean_ediff", "dtm_exceed"):
-                summary[parts[0]] = float(parts[1])
-                continue
-            if len(parts) != 5:
-                raise CsvFormatError("expected 5 fields", line=lineno)
-            entry = per_method.setdefault(parts[1], {"score": [], "bias": [], "see": [], "rmse": []})
-            entry["score"].append(int(parts[0]))
-            entry["bias"].append(float(parts[2]))
-            entry["see"].append(float(parts[3]))
-            entry["rmse"].append(float(parts[4]))
-    if not per_method:
-        raise CsvFormatError("no data rows", line=1)
+    kind, rows = _read_result_csv(path)
+    if kind != "metrics":
+        raise CsvFormatError(f"{path}: not a metrics CSV")
+    per_method, summary = {}, {}
+    for _, row in rows:
+        if len(row) == 2:
+            summary[row[0]] = row[1]
+        else:
+            entry = per_method.setdefault(row[1], {"score": [], "bias": [], "see": [], "rmse": []})
+            for key, value in zip(entry, row[:1] + row[2:]):
+                entry[key].append(value)
     return per_method, summary
 
 
 # ---------------------------------------------------------------------------
-# Dataset assembly from flags
+# Datasets from person CSVs
 # ---------------------------------------------------------------------------
 
-def build_covariate_space(raw_tables, covariate_names, bins: dict) -> CovariateSpace:
-    """Binned variables from --bin flags; the rest categorical with levels
-    pooled (sorted) across all supplied files."""
+def build_covariate_space(raw_tables, covariate_names, bins: dict,
+                          levels: dict | None = None) -> CovariateSpace:
+    """Binned variables at ``bins``' thresholds; the rest categorical, with their
+    declared ``levels`` or else the sorted levels pooled across all files."""
     variables = []
     for name in covariate_names:
         if name in bins:
             variables.append(Binned(name, bins[name]))
+        elif levels and name in levels:
+            variables.append(Categorical(name, levels[name]))
         else:
-            levels: set = set()
-            for raw in raw_tables:
-                levels.update(raw.columns[name])
-            variables.append(Categorical(name, tuple(sorted(levels))))
+            pooled = set().union(*(raw.columns[name] for raw in raw_tables))
+            variables.append(Categorical(name, tuple(sorted(pooled))))
     return CovariateSpace(tuple(variables))
+
+
+def _load_datasets(paths: dict, score_column: str, covariate_names: list, bins: dict,
+                   levels: dict | None = None, scale: ScoreScale | None = None) -> dict:
+    """Datasets from the person CSVs ``{key: path}`` over one covariate space
+    (see :func:`build_covariate_space`), on ``scale`` or else each on its own range."""
+    raws = {key: read_person_csv(path, score_column=score_column,
+                                 covariate_columns=covariate_names)
+            for key, path in paths.items()}
+    space = build_covariate_space(raws.values(), covariate_names, bins, levels)
+    return {key: coerce_dataset(
+                raw, scale or ScoreScale(int(raw.scores.min()), int(raw.scores.max())), space)
+            for key, raw in raws.items()}
 
 
 def _covariate_names(args) -> list[str]:
     return [c.strip() for c in args.covariates.split(",")] if args.covariates else []
-
-
-def _load_pair(args):
-    cov_names = _covariate_names(args)
-    raw_p = read_person_csv(args.p, score_column=args.score, covariate_columns=cov_names)
-    raw_q = read_person_csv(args.q, score_column=args.score, covariate_columns=cov_names)
-    space = build_covariate_space((raw_p, raw_q), cov_names, dict(args.bin or ()))
-    if args.scale:
-        scale_p = scale_q = ScoreScale(*args.scale)
-    else:
-        scale_p = ScoreScale(int(raw_p.scores.min()), int(raw_p.scores.max()))
-        scale_q = ScoreScale(int(raw_q.scores.min()), int(raw_q.scores.max()))
-    return coerce_dataset(raw_p, scale_p, space), coerce_dataset(raw_q, scale_q, space)
 
 
 def _pipeline_config(args) -> GkePipelineConfig:
@@ -256,7 +264,10 @@ def _pipeline_spec(args) -> PipelineSpec:
 
 def cmd_equate(args) -> int:
     spec = _input_phase(_pipeline_spec, args)
-    p_data, q_data = _input_phase(_load_pair, args)
+    p_data, q_data = _input_phase(
+        _load_datasets, {"p": args.p, "q": args.q}, args.score, _covariate_names(args),
+        dict(args.bin or ()), scale=ScoreScale(*args.scale) if args.scale else None,
+    ).values()
     if args.bootstrap:
         boot = _input_phase(BootstrapConfig, args.bootstrap, args.seed)
     metadata = {"command": "equate", "design": args.design}
@@ -272,8 +283,10 @@ def cmd_equate(args) -> int:
         metadata["bootstrap_replicates"] = args.bootstrap
         metadata["bootstrap_seed"] = args.seed
         if args.dump_replicates:
-            _write_replicate_matrix(result.replicates, table.source_scale,
-                                    args.dump_replicates, args.precision)
+            replicates = (f"replicate_{b}" for b in range(len(result.replicates)))
+            _write_csv(args.dump_replicates, ",".join(["score", *replicates]), (
+                (s, *(_fmt(v, args.precision) for v in column))
+                for s, column in zip(table.source_scale.points, result.replicates.T)))
     if args.verbose:
         for key, value in table.diagnostics.items():
             print(f"{key}: {value}")
@@ -281,37 +294,72 @@ def cmd_equate(args) -> int:
     return 0
 
 
-def _write_replicate_matrix(matrix, scale, path, precision) -> None:
-    lines = ["score," + ",".join(f"replicate_{b}" for b in range(matrix.shape[0]))]
-    for i, s in enumerate(scale.points):
-        lines.append(f"{s}," + ",".join(_fmt(v, precision) for v in matrix[:, i]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _read_json(path, what: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"invalid {what} JSON: {exc}") from None
+
+
+def _fields(block, kinds: dict, where: str, required=()) -> dict:
+    """The JSON object ``block``, each value converted by ``kinds[key]``; a missing
+    or unknown key or a value that fails its conversion is a UsageError naming it."""
+    if not isinstance(block, dict):
+        raise UsageError(f"{where}: expected a JSON object, got {type(block).__name__}")
+    for key in required:
+        if key not in block:
+            raise UsageError(f"{where}: missing {key!r}")
+    out = {}
+    for key, value in block.items():
+        if key not in kinds:
+            raise UsageError(f"{where}: unknown key {key!r}")
+        try:
+            out[key] = kinds[key](value)
+        except (TypeError, ValueError, OverflowError):
+            raise UsageError(f"{where}: bad {key} {value!r}") from None
+    return out
+
+
+def _json(kind, item=object, count: int | None = None):
+    """Conversion that checks a JSON value's type, and a list's item type and
+    length (any length if None); a list becomes a tuple."""
+    def convert(value):
+        if not isinstance(value, kind) or (kind is list and (
+                count not in (None, len(value)) or not all(isinstance(v, item) for v in value))):
+            raise TypeError(value)
+        return tuple(value) if kind is list else value
+    return convert
+
+
+_NUMBER, _STR = (int, float), _json(str)
+_SCENARIO_KEYS = {"id": int, "relationship": _STR, "covariate_shift": float,
+                  "y_transform": _json(list, _NUMBER, 2), "alpha": float, "beta": float,
+                  "n": int, "generator": _json(dict)}
+_GENERATOR_KEYS = {
+    **{f.name: float for f in fields(GeneratorParams) if isinstance(f.default, float)},
+    "pop_p": lambda v: BinaryPairParams(*v), "pop_q": lambda v: BinaryPairParams(*v),
+    "covariate_range": _json(list, _NUMBER, 2), "covariate_thresholds": _json(list, _NUMBER),
+    "score_range": _json(list, _NUMBER, 2),
+}
+_PLAN_KEYS = {"baseline": _STR, "datasets": _json(dict), "steps": _json(list),
+              "score_column": _STR, "covariates": _json(dict), "scale": _json(list, _NUMBER, 2)}
+_PLAN_COVARIATE_KEYS = {"type": _STR, "thresholds": _json(list, _NUMBER),
+                        "levels": _json(list, (str, *_NUMBER))}
+_STEP_KEYS = {"source": _STR, "target": _STR, "design": _STR, "covariates": _json(list, str),
+              "equated_covariates": _json(dict), "target_equated_covariates": _json(dict),
+              "omega": lambda v: v, "id": _STR}
 
 
 def load_scenario_config(path) -> tuple[ScenarioSpec, GeneratorParams]:
     """Custom scenario from a JSON tree (ScenarioSpec fields plus an
     optional "generator" block of GeneratorParams overrides)."""
-    try:
-        spec = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"invalid scenario config JSON: {exc}") from None
-    gen_spec = dict(spec.pop("generator", {}))
-    for key in ("pop_p", "pop_q"):
-        if key in gen_spec:
-            gen_spec[key] = BinaryPairParams(*gen_spec[key])
-    for key in ("covariate_range", "covariate_thresholds", "score_range"):
-        if key in gen_spec:
-            gen_spec[key] = tuple(gen_spec[key])
-    scenario = ScenarioSpec(
-        id=int(spec.get("id", 0)),
-        relationship=spec.get("relationship", "strong"),
-        covariate_shift=float(spec.get("covariate_shift", 0.0)),
-        y_transform=tuple(spec.get("y_transform", (1.0, 0.0))),
-        alpha=float(spec.get("alpha", 1.0)),
-        beta=float(spec.get("beta", 0.0)),
-        n=int(spec["n"]),
-    )
-    return scenario, GeneratorParams(**gen_spec)
+    spec = _fields(_read_json(path, "scenario config"), _SCENARIO_KEYS,
+                   "scenario config", required=("n",))
+    generator = _fields(spec.pop("generator", {}), _GENERATOR_KEYS,
+                        "scenario config: generator")
+    scenario = ScenarioSpec(**{"id": 0, "relationship": "strong", "covariate_shift": 0.0,
+                               "y_transform": (1.0, 0.0), "alpha": 1.0, "beta": 0.0, **spec})
+    return scenario, GeneratorParams(**generator)
 
 
 def cmd_simulate(args) -> int:
@@ -340,54 +388,27 @@ def cmd_simulate(args) -> int:
 
 def load_chain_plan(path):
     """Parse the chain-plan JSON: plan, datasets, and covariate space."""
-    plan_path = Path(path)
-    try:
-        spec = json.loads(plan_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise PlanError(f"invalid plan JSON: {exc}") from None
-    for key in ("baseline", "datasets", "steps"):
-        if key not in spec:
-            raise PlanError(f"plan is missing {key!r}")
-    score_column = spec.get("score_column", "score")
+    spec = _fields(_read_json(path, "plan"), _PLAN_KEYS, "plan",
+                   required=("baseline", "datasets", "steps"))
+    steps = [ChainStep(**_fields(s, _STEP_KEYS, f"plan: step {i}",
+                                 required=("source", "target")))
+             for i, s in enumerate(spec["steps"])]
+    plan = ChainPlan(spec["baseline"], tuple(steps))
     cov_spec = spec.get("covariates", {})
-    raw_tables = {}
-    for form, rel in spec["datasets"].items():
-        csv_path = plan_path.parent / rel
-        raw_tables[form] = read_person_csv(csv_path, score_column=score_column,
-                                           covariate_columns=list(cov_spec) or None)
-    variables = []
+    bins, levels = {}, {}
     for name, vs in cov_spec.items():
+        vs = _fields(vs, _PLAN_COVARIATE_KEYS, f"plan: covariate {name!r}")
         kind = vs.get("type", "categorical")
         if kind == "binned":
-            variables.append(Binned(name, tuple(vs["thresholds"])))
-        elif kind == "categorical":
-            if "levels" in vs:
-                variables.append(Categorical(name, tuple(str(v) for v in vs["levels"])))
-            else:
-                levels: set = set()
-                for raw in raw_tables.values():
-                    levels.update(raw.columns[name])
-                variables.append(Categorical(name, tuple(sorted(levels))))
-        else:
+            bins[name] = vs.get("thresholds", ())
+        elif kind != "categorical":
             raise PlanError(f"covariate {name!r}: unknown type {kind!r}")
-    space = CovariateSpace(tuple(variables))
-    datasets = {}
-    for form, raw in raw_tables.items():
-        if "scale" in spec:
-            scale = ScoreScale(*spec["scale"])
-        else:
-            scale = ScoreScale(int(raw.scores.min()), int(raw.scores.max()))
-        datasets[form] = coerce_dataset(raw, scale, space)
-    steps = []
-    for s in spec["steps"]:
-        steps.append(ChainStep(
-            source=s["source"], target=s["target"], design=s.get("design", "eg"),
-            covariates=tuple(s.get("covariates", ())),
-            equated_covariates=s.get("equated_covariates", {}),
-            target_equated_covariates=s.get("target_equated_covariates", {}),
-            omega=s.get("omega"), id=s.get("id"),
-        ))
-    return ChainPlan(spec["baseline"], tuple(steps)), datasets
+        elif "levels" in vs:
+            levels[name] = tuple(str(v) for v in vs["levels"])
+    return plan, _load_datasets(
+        {form: Path(path).parent / str(rel) for form, rel in spec["datasets"].items()},
+        spec.get("score_column", "score"), list(cov_spec), bins, levels,
+        ScoreScale(*spec["scale"]) if "scale" in spec else None)
 
 
 def _safe_name(form: str) -> str:
@@ -416,65 +437,39 @@ def cmd_chain(args) -> int:
 
 def _plot_rows_from_metrics(path) -> list[tuple]:
     per_method, _ = read_metrics_csv(path)
-    rows = []
-    for panel in ("bias", "see", "rmse"):
-        for method, vecs in per_method.items():
-            for s, v in zip(vecs["score"], vecs[panel]):
-                rows.append((s, method, v, panel))
-    return rows
+    return [(s, method, v, panel) for panel in ("bias", "see", "rmse")
+            for method, vecs in per_method.items()
+            for s, v in zip(vecs["score"], vecs[panel])]
 
 
 def _plot_rows_from_tables(paths) -> list[tuple]:
-    rows = []
-    tables = []
+    rows, names, scales = [], set(), []
     for path in paths:
         table = read_equating_table(path)
         series = table.method
-        if any(t[1] == series for t in tables):
+        if series in names:
             series = f"{series} ({Path(path).stem})"
-        tables.append((table, series))
-    for table, series in tables:
-        pts = table.source_scale.points
-        for i, s in enumerate(pts):
+        names.add(series)
+        scales.append(table.source_scale)
+        for i, s in enumerate(table.source_scale.points):
             rows.append((int(s), series, float(table.equated[i]), "equated"))
             if table.see is not None:
-                rows.append((int(s), f"{series} +see",
-                             float(table.equated[i] + table.see[i]), "equated"))
-                rows.append((int(s), f"{series} -see",
-                             float(table.equated[i] - table.see[i]), "equated"))
-    lo = min(int(t.source_scale.min) for t, _ in tables)
-    hi = max(int(t.source_scale.max) for t, _ in tables)
-    for s in range(lo, hi + 1):
+                e, v = table.equated[i], table.see[i]
+                rows += [(int(s), f"{series} +see", float(e + v), "equated"),
+                         (int(s), f"{series} -see", float(e - v), "equated")]
+    for s in range(min(sc.min for sc in scales), max(sc.max for sc in scales) + 1):
         rows.append((s, "identity", float(s), "equated"))
     return rows
 
 
-def _detect_input_kind(path) -> str:
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                if line.startswith("score,method,"):
-                    return "metrics"
-                if line.startswith("score,equated,"):
-                    return "table"
-                raise CsvFormatError(f"{path}: unrecognized header {line!r}", line=1)
-    raise CsvFormatError(f"{path}: empty file", line=1)
-
-
 def cmd_plot_data(args) -> int:
-    kinds = {path: _detect_input_kind(path) for path in args.inputs}
-    rows: list[tuple] = []
-    table_paths = [p for p, k in kinds.items() if k == "table"]
-    for path in args.inputs:
-        if kinds[path] == "metrics":
-            rows.extend(_plot_rows_from_metrics(path))
-    if table_paths:
-        rows.extend(_plot_rows_from_tables(table_paths))
-    lines = ["x,series,value,panel"]
-    for x, series, value, panel in rows:
-        lines.append(f"{x},{series},{_fmt(value, 'full')},{panel}")
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    kinds = {path: _read_result_csv(path)[0] for path in args.inputs}
+    rows = [row for path in args.inputs if kinds[path] == "metrics"
+            for row in _plot_rows_from_metrics(path)]
+    tables = [p for p, k in kinds.items() if k == "table"]
+    rows += _input_phase(_plot_rows_from_tables, tables) if tables else []
+    _write_csv(args.out, "x,series,value,panel",
+               ((x, series, _fmt(value, "full"), panel) for x, series, value, panel in rows))
     if args.svg:
         _write_svg_panels(rows, Path(args.svg))
     return 0
@@ -652,7 +647,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CsvFormatError, PlanError, UsageError) as exc:
+    except (CsvFormatError, PlanError, UsageError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeqError as exc:

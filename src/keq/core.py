@@ -94,8 +94,10 @@ class ScoreScale:
     max: int
 
     def __post_init__(self):
-        if int(self.min) != self.min or int(self.max) != self.max:
-            raise ValidationError("score scale bounds must be integers")
+        if not all(isinstance(b, (int, float, np.integer, np.floating)) and float(b).is_integer()
+                   for b in (self.min, self.max)):
+            raise ValidationError(
+                f"score scale bounds must be integers, got [{self.min!r}, {self.max!r}]")
         object.__setattr__(self, "min", int(self.min))
         object.__setattr__(self, "max", int(self.max))
         if self.min > self.max:
@@ -108,9 +110,6 @@ class ScoreScale:
     @property
     def n_points(self) -> int:
         return self.max - self.min + 1
-
-    def contains(self, score) -> bool:
-        return self.min <= score <= self.max
 
     def index_of(self, scores: np.ndarray) -> np.ndarray:
         return np.asarray(scores, dtype=np.int64) - self.min
@@ -233,18 +232,6 @@ class CovariateSpace:
             out = out * v.n_levels + i
         return out
 
-    def cell_labels(self) -> list[str]:
-        labels = []
-        for cell in self.cells():
-            parts = []
-            for v, i in zip(self.variables, cell):
-                if isinstance(v, Categorical):
-                    parts.append(f"{v.name}={v.levels[i]}")
-                else:
-                    parts.append(f"{v.name}=bin{i + 1}")
-            labels.append(",".join(parts) if parts else "(all)")
-        return labels
-
 
 @dataclass(frozen=True)
 class ScoreDistribution:
@@ -354,12 +341,6 @@ class Dataset:
     def cell_indices(self) -> np.ndarray:
         """Covariate cell index of every record (all 0 without covariates)."""
         return self._cells
-
-    def score_distribution(self) -> ScoreDistribution:
-        if self.n == 0:
-            raise ValidationError("no records")
-        counts = np.bincount(self.scale.index_of(self.scores), minlength=self.scale.n_points)
-        return ScoreDistribution(self.scale, counts / self.n)
 
     def take(self, indices: np.ndarray) -> "Dataset":
         """New dataset from row indices (used by bootstrap resampling)."""
@@ -502,6 +483,8 @@ def read_person_csv(path, score_column: str = "score",
                 if value == "":
                     raise CsvFormatError(f"missing value in column {c!r}", line=lineno)
                 columns[c].append(value)
+    if not scores:
+        raise CsvFormatError("no data rows", line=2)
     return RawPersonTable(np.asarray(scores, dtype=np.int64), columns)
 
 

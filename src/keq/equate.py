@@ -362,7 +362,7 @@ class ChainStep:
         object.__setattr__(self, "covariates", tuple(self.covariates))
         for attr in ("equated_covariates", "target_equated_covariates"):
             raw = getattr(self, attr)
-            norm = {c: (ids,) if isinstance(ids, str) else tuple(ids)
+            norm = {c: tuple(ids) if isinstance(ids, (list, tuple)) else (ids,)
                     for c, ids in raw.items()}
             object.__setattr__(self, attr, norm)
         if self.id is None:
@@ -467,6 +467,13 @@ def equate_chain(plan: ChainPlan, datasets: dict,
     missing = sorted(n for n in needed if n not in datasets)
     if missing:
         raise PlanError(f"missing datasets: {', '.join(missing)}")
+    # Dataset.restrict would drop a covariate the datasets lack without a word.
+    for step in plan.steps:
+        for form, names in ((step.source, (*step.covariates, *step.equated_covariates)),
+                            (step.target, (*step.covariates, *step.target_equated_covariates))):
+            unknown = [name for name in names if name not in datasets[form].columns]
+            if unknown:
+                raise PlanError(f"step {step.id!r}: {form!r} has no covariate {unknown[0]!r}")
 
     step_tables: dict = {}
     step_maps: dict = {}

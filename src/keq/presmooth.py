@@ -225,9 +225,7 @@ def fit_loglinear(counts: np.ndarray, design: np.ndarray, scale: ScoreScale,
 
 
 def presmooth_counts(counts: np.ndarray, scale: ScoreScale,
-                     covariates: CovariateSpace, spec: LoglinearSpec,
-                     tol: float = 1e-8, max_iter: int = 100) -> FittedLoglinear:
+                     covariates: CovariateSpace, spec: LoglinearSpec) -> FittedLoglinear:
     """Build the design for ``spec`` and fit it to the count table."""
     design = build_design_matrix(scale, covariates, spec)
-    return fit_loglinear(counts, design, scale, covariates,
-                         tol=tol, max_iter=max_iter, spec=spec)
+    return fit_loglinear(counts, design, scale, covariates, spec=spec)

@@ -13,6 +13,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from scipy.stats import norm
 
 from keq.cli import main, read_equating_table
@@ -54,6 +55,7 @@ def mid_slice(n_points, frac=0.8):
     return slice(drop, n_points - drop)
 
 
+@pytest.mark.slow
 def test_criterion_01_scenario_ediff_levels():
     """Scenario-5 and scenario-7 mean EDIFF reproduce the reported levels."""
     start = time.time()
@@ -70,6 +72,7 @@ def test_criterion_01_scenario_ediff_levels():
     )
 
 
+@pytest.mark.slow
 def test_criterion_02_bias_ordering_at_large_n():
     """Covariate misalignment biases GKE; sequential GKE repairs it."""
     r6 = run_scenario(ScenarioSpec.from_table(6), 20, seed=SEED, threads=THREADS)
@@ -225,6 +228,7 @@ def _binomial_dataset(rng, n, scale=ScoreScale(0, 30), p=0.5):
     return Dataset(scale, space, rng.binomial(scale.max, p, size=n), {})
 
 
+@pytest.mark.slow
 def test_criterion_09_bootstrap_see_scaling():
     """SEE decays like 1/sqrt(n); degenerate data gives exactly zero."""
     pipeline = PipelineSpec("EG", config=GkePipelineConfig(

@@ -12,8 +12,15 @@ import numpy as np
 import pytest
 
 import keq
-from keq.cli import main, read_equating_table, read_metrics_csv, write_equating_table
+from keq.cli import (
+    main,
+    read_equating_table,
+    read_metrics_csv,
+    write_equating_table,
+    write_metrics_report,
+)
 from keq.core import EquatingTable, ScoreScale
+from keq.metrics import MetricsReport
 from keq.simulate import ScenarioSpec, gen_population
 
 
@@ -167,6 +174,26 @@ class TestCmdEquate:
         assert "bootstrap replicates" in capsys.readouterr().err
 
 
+def one_line_error(capsys) -> str:
+    """The captured stderr, which must be one ``error:`` line."""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("argv", [
+    ["equate", "--design", "eg", "--p", "{d}/nosuch.csv", "--q", "{q}", "--out", "{d}/o.csv"],
+    ["equate", "--design", "eg", "--p", "{p}", "--q", "{q}", "--out", "{d}/nodir/o.csv"],
+    ["plot-data", "{d}/nosuch.csv", "--out", "{d}/o.csv"],
+    ["chain", "--plan", "{d}/nosuch.json", "--out-dir", "{d}/out"],
+    ["simulate", "--scenario-config", "{d}/nosuch.json", "--reps", "2", "--out", "{d}/m.csv"],
+], ids=["equate-input", "equate-output", "plot-data", "chain", "scenario-config"])
+def test_file_that_cannot_be_opened_exits_2(person_files, tmp_path, capsys, argv):
+    p_path, q_path = person_files
+    assert main([a.format(d=tmp_path, p=p_path, q=q_path) for a in argv]) == 2
+    assert "No such file or directory" in one_line_error(capsys)
+
+
 def exit_code(argv) -> int:
     """``main``'s return value, or the status of the exit argparse takes."""
     try:
@@ -248,6 +275,22 @@ class TestCmdSimulate:
                      "--out", str(tmp_path / "m.csv")])
         assert code == 2
         assert "error: empty score scale [80, 0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, named", [
+        ({"n": 800, "generator": {"nosuch": 1}}, "unknown key 'nosuch'"),
+        ({"n": 800, "generator": {"score_range": [0, 80, 5]}}, "bad score_range [0, 80, 5]"),
+        ({"n": 800, "generator": {"pop_p": [0.3, 0.8]}}, "bad pop_p [0.3, 0.8]"),
+        ({"relationship": "weak"}, "missing 'n'"),
+        ({"n": "abc"}, "bad n 'abc'"),
+        ([{"n": 800}], "expected a JSON object"),
+    ], ids=["generator-key", "score-range", "pop-p", "no-n", "n", "array"])
+    def test_malformed_scenario_config_exits_2(self, tmp_path, capsys, config, named):
+        cfg_path = tmp_path / "scenario.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        code = main(["simulate", "--scenario-config", str(cfg_path), "--reps", "2",
+                     "--out", str(tmp_path / "m.csv")])
+        assert code == 2
+        assert named in one_line_error(capsys)
 
     def test_scenario_flags_are_exclusive(self, tmp_path):
         assert main(["simulate", "--reps", "2",
@@ -337,6 +380,34 @@ class TestCmdChain:
         assert code == 2
         assert "omega 2 outside [0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda plan: plan["steps"][2].update(covariates=["nosuch"]),
+         "'f2017' has no covariate 'nosuch'"),
+        (lambda plan: plan["steps"][2].update(equated_covariates={"nosuch": "s2018->s2017"}),
+         "'f2017' has no covariate 'nosuch'"),
+        (lambda plan: plan["steps"][2].update(
+            target_equated_covariates={"nosuch": "s2018->s2017"}),
+         "'s2017' has no covariate 'nosuch'"),
+        (lambda plan: plan["steps"][2].update(equated_covariates={"school": 5}),
+         "references unknown step 5"),
+        (lambda plan: plan["steps"][0].pop("source"), "step 0: missing 'source'"),
+        (lambda plan: plan.update(scale=[0, 100, 5]), "bad scale [0, 100, 5]"),
+        (lambda plan: plan.update(datasets=sorted(plan["datasets"].values())), "bad datasets"),
+        (lambda plan: plan["covariates"].update(
+            nl={"type": "binned", "thresholds": ["low", "high"]}),
+         "bad thresholds ['low', 'high']"),
+    ], ids=["step-covariates", "equated-covariates", "target-equated-covariates",
+            "equated-step-id", "no-source", "scale", "datasets-list", "thresholds"])
+    def test_malformed_plan_exits_2(self, tmp_path, capsys, edit, named):
+        plan_path = write_chain_fixture(tmp_path)
+        plan = json.loads(plan_path.read_text(encoding="utf-8"))
+        edit(plan)
+        plan_path.write_text(json.dumps(plan), encoding="utf-8")
+        code = main(["chain", "--plan", str(plan_path), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert named in one_line_error(capsys)
+        assert not (tmp_path / "out").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         plan_path = write_chain_fixture(tmp_path)
         d1, d2 = tmp_path / "o1", tmp_path / "o2"
@@ -382,6 +453,20 @@ class TestCmdPlotData:
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n", encoding="utf-8")
         assert main(["plot-data", str(bad), "--out", str(tmp_path / "o.csv")]) == 2
+        bad.write_bytes(b"\xff\xfe")
+        assert main(["plot-data", str(bad), "--out", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("text, line", [
+        ("# method: GKE\nscore,equated,see,method\n0,0.5,,GKE\n1.5,1.4,,GKE\n", 4),
+        ("score,method,bias,see,rmse\n0,GKE,0.1,0.2,0.3\n1,GKE,abc,0.2,0.3\n", 3),
+        ("score,method,bias,see,rmse\n0,GKE,0.1,0.2,0.3\nmean_ediff,\ndtm_exceed,0.5\n", 3),
+        ("score,method,bias,see,rmse\n0,GKE,0.1,0.2,0.3\nmean_ediff\n", 3),
+    ], ids=["table-score", "metrics-bias", "summary-empty", "summary-missing"])
+    def test_malformed_value_exits_2_naming_the_line(self, tmp_path, capsys, text, line):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text, encoding="utf-8")
+        assert main(["plot-data", str(bad), "--out", str(tmp_path / "o.csv")]) == 2
+        assert f"error: line {line}: " in one_line_error(capsys)
 
 
 class TestRoundTrip:
@@ -397,3 +482,21 @@ class TestRoundTrip:
         assert np.array_equal(back.equated, table.equated)
         assert np.array_equal(back.see, table.see)
         assert back.method == table.method
+
+    def test_metrics_report_full_precision_round_trip(self, tmp_path):
+        rng = np.random.default_rng(9)
+        points = np.arange(0, 11)
+        replicates = {m: points + rng.normal(0.0, 0.7, size=(6, 11))
+                      for m in ("GKE", "sequential GKE")}
+        report = MetricsReport.from_replicates(points, points, replicates,
+                                               header={"scenario": 5})
+        path = tmp_path / "m.csv"
+        write_metrics_report(report, path, "full")
+        per_method, summary = read_metrics_csv(path)
+        assert list(per_method) == list(report.per_method)
+        for method, vecs in report.per_method.items():
+            assert per_method[method]["score"] == list(points)
+            for key in ("bias", "see", "rmse"):
+                assert np.array_equal(per_method[method][key], vecs[key])
+        assert summary == {"mean_ediff": report.mean_ediff,
+                           "dtm_exceed": report.dtm_exceed_fraction}

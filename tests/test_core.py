@@ -50,6 +50,12 @@ class TestScoreScale:
         with pytest.raises(ValidationError):
             ScoreScale(0.5, 2)
 
+    @pytest.mark.parametrize("low, high", [(0, float("inf")), (float("nan"), 2),
+                                           ("0", 2), (None, 2)])
+    def test_non_numeric_bounds_rejected(self, low, high):
+        with pytest.raises(ValidationError, match="must be integers"):
+            ScoreScale(low, high)
+
 
 class TestDiscretize:
     def test_below_first_threshold_goes_to_first_bin(self):
@@ -261,6 +267,12 @@ class TestPersonCsv:
         path = tmp_path / "bad.csv"
         path.write_text("score,school\n3,\n", encoding="utf-8")
         with pytest.raises(CsvFormatError, match="line 2"):
+            read_person_csv(path)
+
+    def test_header_only_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("score,school\n", encoding="utf-8")
+        with pytest.raises(CsvFormatError, match="line 2: no data rows"):
             read_person_csv(path)
 
     def test_non_integer_score_rejected(self, tmp_path):
