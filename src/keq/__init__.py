@@ -17,7 +17,6 @@ from .core import (
     coerce_dataset,
     discretize,
     read_person_csv,
-    tabulate,
     tabulate_counts,
 )
 from .continuize import ContinuizedCdf, continuize, inverse_cdf, kernel_cdf, kernel_pdf, select_bandwidth
@@ -29,13 +28,12 @@ from .equate import (
     NecInput,
     PipelineSpec,
     PlanError,
-    apply_equating,
     equate_chain,
     equate_covariate,
     equate_gke,
     equate_sequential,
 )
-from .metrics import MetricsReport, bias, ediff, mc_see, rmse, tvd
+from .metrics import MetricsReport, bias, ediff, mc_see, rmse
 from .presmooth import FittedLoglinear, LoglinearSpec, build_design_matrix, fit_loglinear, presmooth_counts
 from .probmix import nec_target_probs
 from .simulate import (

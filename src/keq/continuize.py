@@ -22,7 +22,6 @@ __all__ = [
     "continuize",
     "kernel_cdf",
     "kernel_pdf",
-    "kernel_pdf_derivative",
     "select_bandwidth",
     "penalty",
     "inverse_cdf",
@@ -81,39 +80,43 @@ def continuize(dist: ScoreDistribution, kpen: float = 1.0,
     return ContinuizedCdf(dist, h)
 
 
-def _standardized(c: ContinuizedCdf, x):
-    """(x - a*x_j - (1-a)*mu) / (a*h) for every score point j."""
+def _kernel(c: ContinuizedCdf, x, *terms):
+    """The asked-for terms of ``c`` at x (scalar or array), in order.
+
+    "cdf" is the CDF, "pdf" the density and "slope" the density's first
+    derivative.  All of them rest on u = (x - a*x_j - (1-a)*mu) / (a*h)
+    for every score point j, formed here once.
+    """
+    scalar = np.ndim(x) == 0
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValidationError("non-finite evaluation point")
     pts = c.dist.scale.points.astype(float)
-    return (x[..., None] - c.a * pts - (1.0 - c.a) * c.mu) / (c.a * c.h)
+    ah = c.a * c.h
+    u = (x[..., None] - c.a * pts - (1.0 - c.a) * c.mu) / ah
+    probs = c.dist.probs
+    out = []
+    for term in terms:
+        if term == "cdf":
+            # A row sum, not a matrix product: BLAS rounds a row differently
+            # depending on where it sits in the batch, and the inverse must not.
+            value = (ndtr(u) * probs).sum(axis=-1)
+        elif term == "pdf":
+            value = (np.exp(-0.5 * u**2) @ probs) * INV_SQRT_2PI / ah
+        else:  # "slope"
+            value = ((-u * np.exp(-0.5 * u**2)) @ probs) * INV_SQRT_2PI / ah**2
+        out.append(float(value) if scalar else value)
+    return out
 
 
 def kernel_cdf(c: ContinuizedCdf, x):
     """Continuized CDF at x (scalar or array)."""
-    scalar = np.ndim(x) == 0
-    u = _standardized(c, x)
-    # A row sum, not a matrix product: BLAS rounds a row differently
-    # depending on where it sits in the batch, and the inverse must not.
-    out = (ndtr(u) * c.dist.probs).sum(axis=-1)
-    return float(out) if scalar else out
+    return _kernel(c, x, "cdf")[0]
 
 
 def kernel_pdf(c: ContinuizedCdf, x):
     """Density of the continuized distribution at x."""
-    scalar = np.ndim(x) == 0
-    u = _standardized(c, x)
-    out = (np.exp(-0.5 * u**2) @ c.dist.probs) * INV_SQRT_2PI / (c.a * c.h)
-    return float(out) if scalar else out
-
-
-def kernel_pdf_derivative(c: ContinuizedCdf, x):
-    """First derivative of the continuized density at x."""
-    scalar = np.ndim(x) == 0
-    u = _standardized(c, x)
-    out = ((-u * np.exp(-0.5 * u**2)) @ c.dist.probs) * INV_SQRT_2PI / (c.a * c.h) ** 2
-    return float(out) if scalar else out
+    return _kernel(c, x, "pdf")[0]
 
 
 def penalty(dist: ScoreDistribution, h: float, kpen: float = 1.0) -> float:
@@ -129,8 +132,7 @@ def penalty(dist: ScoreDistribution, h: float, kpen: float = 1.0) -> float:
     pen1 = float(np.sum((dist.probs - kernel_pdf(c, pts)) ** 2))
     if kpen == 0.0:
         return pen1
-    left = kernel_pdf_derivative(c, pts - PEN2_OFFSET)
-    right = kernel_pdf_derivative(c, pts + PEN2_OFFSET)
+    left, right = _kernel(c, np.stack([pts - PEN2_OFFSET, pts + PEN2_OFFSET]), "slope")[0]
     pen2 = float(np.sum((left < 0.0) & ~(right > 0.0)))
     return pen1 + kpen * pen2
 
@@ -185,14 +187,6 @@ def _golden_section(f, lo: float, hi: float, best: tuple[float, float],
             if fd < best[1]:
                 best = (d, fd)
     return best[0]
-
-
-def _cdf_and_pdf(c: ContinuizedCdf, x: np.ndarray):
-    """CDF and density at every x, each row summed on its own."""
-    u = _standardized(c, x)
-    cdf = (ndtr(u) * c.dist.probs).sum(axis=-1)
-    pdf = (np.exp(-0.5 * u**2) * c.dist.probs).sum(axis=-1) * INV_SQRT_2PI / (c.a * c.h)
-    return cdf, pdf
 
 
 def _bracket_grid(c: ContinuizedCdf, p_min: float, p_max: float) -> np.ndarray:
@@ -255,7 +249,7 @@ def inverse_cdf(c: ContinuizedCdf, p):
     step = step_before = hi - lo
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(INVERSE_MAX_ITER):
-            cdf, pdf = _cdf_and_pdf(c, x)
+            cdf, pdf = _kernel(c, x, "cdf", "pdf")
             r = cdf - p
             below, above = active & (r < 0.0), active & (r > 0.0)
             lo, r_lo = np.where(below, x, lo), np.where(below, r, r_lo)

@@ -30,7 +30,6 @@ __all__ = [
     "Dataset",
     "EquatingTable",
     "discretize",
-    "tabulate",
     "tabulate_counts",
     "read_person_csv",
     "coerce_dataset",
@@ -52,10 +51,13 @@ class ValidationError(KeqError):
 
 
 class CsvFormatError(KeqError):
-    """A CSV file is structurally malformed.  Carries the 1-based line number."""
+    """A CSV file is structurally malformed.  Carries the 1-based line number
+    and names the file, where known."""
 
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message if line is None else f"line {line}: {message}")
+    def __init__(self, message: str, line: int | None = None, path=None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message if path is None else f"{path}: {message}")
         self.line = line
 
 
@@ -378,12 +380,6 @@ def tabulate_counts(dataset: Dataset) -> np.ndarray:
     return flat.reshape(J, L)
 
 
-def tabulate(dataset: Dataset) -> JointProbabilityTable:
-    """Empirical joint probability table: cell (j, l) = count / n."""
-    counts = tabulate_counts(dataset)
-    return JointProbabilityTable(dataset.scale, dataset.covariates, counts / dataset.n)
-
-
 @dataclass(frozen=True)
 class EquatingTable:
     """Equated value (and optional SEE) for every source score point."""
@@ -452,15 +448,15 @@ def read_person_csv(path, score_column: str = "score",
         try:
             header = next(reader)
         except StopIteration:
-            raise CsvFormatError("empty file", line=1) from None
+            raise CsvFormatError("empty file", line=1, path=path) from None
         header = [h.strip() for h in header]
         if score_column not in header:
-            raise CsvFormatError(f"missing column {score_column!r}", line=1)
+            raise CsvFormatError(f"missing column {score_column!r}", line=1, path=path)
         if covariate_columns is None:
             covariate_columns = [h for h in header if h != score_column]
         for c in covariate_columns:
             if c not in header:
-                raise CsvFormatError(f"missing column {c!r}", line=1)
+                raise CsvFormatError(f"missing column {c!r}", line=1, path=path)
         score_pos = header.index(score_column)
         cov_pos = {c: header.index(c) for c in covariate_columns}
 
@@ -468,23 +464,24 @@ def read_person_csv(path, score_column: str = "score",
         columns: dict[str, list[str]] = {c: [] for c in covariate_columns}
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
-                raise CsvFormatError(
-                    f"expected {len(header)} fields, found {len(row)}", line=lineno
-                )
+                raise CsvFormatError(f"expected {len(header)} fields, found {len(row)}",
+                                     line=lineno, path=path)
             token = row[score_pos].strip()
             if token == "":
-                raise CsvFormatError("missing score value", line=lineno)
+                raise CsvFormatError("missing score value", line=lineno, path=path)
             try:
                 scores.append(int(token))
             except ValueError:
-                raise CsvFormatError(f"non-integer score {token!r}", line=lineno) from None
+                raise CsvFormatError(f"non-integer score {token!r}",
+                                     line=lineno, path=path) from None
             for c, pos in cov_pos.items():
                 value = row[pos].strip()
                 if value == "":
-                    raise CsvFormatError(f"missing value in column {c!r}", line=lineno)
+                    raise CsvFormatError(f"missing value in column {c!r}",
+                                         line=lineno, path=path)
                 columns[c].append(value)
     if not scores:
-        raise CsvFormatError("no data rows", line=2)
+        raise CsvFormatError("no data rows", line=2, path=path)
     return RawPersonTable(np.asarray(scores, dtype=np.int64), columns)
 
 

@@ -50,7 +50,6 @@ __all__ = [
     "equate_covariate",
     "equate_sequential",
     "equate_chain",
-    "apply_equating",
 ]
 
 class PlanError(KeqError):
@@ -144,19 +143,6 @@ def _evaluate_unique(mapping, values: np.ndarray) -> np.ndarray:
     """Apply a map to an array, evaluating each distinct value once."""
     uniq, inverse = np.unique(np.asarray(values, dtype=float), return_inverse=True)
     return np.asarray(mapping(uniq))[inverse]
-
-
-def apply_equating(table_or_map, value):
-    """Evaluate an equating at arbitrary (real) points.
-
-    Functional maps evaluate exactly; serialized tables interpolate
-    linearly between score points and clamp at the scale ends.
-    """
-    if isinstance(table_or_map, EquatingTable):
-        pts = table_or_map.source_scale.points.astype(float)
-        out = np.interp(value, pts, table_or_map.equated)
-        return float(out) if np.ndim(value) == 0 else out
-    return table_or_map(value)
 
 
 def _fit_summary(fit) -> dict:
@@ -467,17 +453,24 @@ def equate_chain(plan: ChainPlan, datasets: dict,
     missing = sorted(n for n in needed if n not in datasets)
     if missing:
         raise PlanError(f"missing datasets: {', '.join(missing)}")
-    # Dataset.restrict would drop a covariate the datasets lack without a word.
+    ordered = _ordered_steps(plan)
+    # Dataset.restrict would drop a covariate the datasets lack without a word,
+    # and a score map sends a categorical column's levels to undeclared values.
     for step in plan.steps:
-        for form, names in ((step.source, (*step.covariates, *step.equated_covariates)),
-                            (step.target, (*step.covariates, *step.target_equated_covariates))):
-            unknown = [name for name in names if name not in datasets[form].columns]
+        for form, equated in ((step.source, step.equated_covariates),
+                              (step.target, step.target_equated_covariates)):
+            variables = {v.name: v for v in datasets[form].covariates.variables}
+            unknown = [name for name in (*step.covariates, *equated) if name not in variables]
             if unknown:
                 raise PlanError(f"step {step.id!r}: {form!r} has no covariate {unknown[0]!r}")
+            categorical = [name for name in equated if not isinstance(variables[name], Binned)]
+            if categorical:
+                raise PlanError(f"step {step.id!r}: covariate {categorical[0]!r} is "
+                                "categorical; only binned covariates can be equated")
 
     step_tables: dict = {}
     step_maps: dict = {}
-    for step in _ordered_steps(plan):
+    for step in ordered:
         src_maps = {c: [step_maps[i] for i in ids]
                     for c, ids in step.equated_covariates.items()}
         tgt_maps = {c: [step_maps[i] for i in ids]

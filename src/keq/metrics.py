@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import ValidationError
 
-__all__ = ["bias", "mc_see", "rmse", "ediff", "tvd", "MetricsReport"]
+__all__ = ["bias", "mc_see", "rmse", "ediff", "MetricsReport"]
 
 DTM_THRESHOLD = 1.0  # score points
 
@@ -62,26 +62,6 @@ def ediff(reps_a, reps_b) -> tuple[np.ndarray, float]:
         raise ValidationError("replicate matrices differ in shape")
     per_point = np.abs(a - b).mean(axis=0)
     return per_point, float(per_point.mean())
-
-
-def tvd(cond_a: dict, cond_b: dict) -> float:
-    """Mean total variation distance between conditional score distributions.
-
-    ``cond_a`` and ``cond_b`` map group labels to probability vectors on a
-    shared score scale; TVD is computed per group and averaged unweighted.
-    """
-    if set(cond_a) != set(cond_b):
-        raise ValidationError("conditional distributions cover different groups")
-    if not cond_a:
-        raise ValidationError("no groups")
-    total = 0.0
-    for g in cond_a:
-        pa = np.asarray(cond_a[g], dtype=float)
-        pb = np.asarray(cond_b[g], dtype=float)
-        if pa.shape != pb.shape:
-            raise ValidationError(f"group {g!r}: distributions differ in length")
-        total += 0.5 * float(np.abs(pa - pb).sum())
-    return total / len(cond_a)
 
 
 @dataclass(frozen=True)

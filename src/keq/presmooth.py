@@ -214,7 +214,7 @@ def fit_loglinear(counts: np.ndarray, design: np.ndarray, scale: ScoreScale,
     if not converged:
         warning = (
             f"IRLS stopped after {iterations} iterations with max score "
-            f"residual {np.max(np.abs(X.T @ (y - mu))):.3g} (tol {tol * total:.3g})"
+            f"residual {np.max(np.abs(score)):.3g} (tol {tol * total:.3g})"
         )
     probs = (mu / mu.sum()).reshape(scale.n_points, covariates.n_cells)
     table = JointProbabilityTable(scale, covariates, probs)

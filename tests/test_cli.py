@@ -106,10 +106,11 @@ class TestCmdEquate:
         bad.write_text("score,g\n3,a\n,b\n", encoding="utf-8")
         ok = tmp_path / "ok.csv"
         ok.write_text("score,g\n3,a\n", encoding="utf-8")
-        code = main(["equate", "--design", "eg", "--p", str(bad),
-                     "--q", str(ok), "--out", str(tmp_path / "o.csv")])
-        assert code == 2
-        assert "line 3" in capsys.readouterr().err
+        for p_path, q_path in ((bad, ok), (ok, bad)):
+            code = main(["equate", "--design", "eg", "--p", str(p_path),
+                         "--q", str(q_path), "--out", str(tmp_path / "o.csv")])
+            assert code == 2
+            assert f"{bad}: line 3: missing score value" in one_line_error(capsys)
 
     def test_sequential_without_covariate_exits_2(self, person_files, tmp_path):
         p_path, q_path = person_files
@@ -390,6 +391,12 @@ class TestCmdChain:
          "'s2017' has no covariate 'nosuch'"),
         (lambda plan: plan["steps"][2].update(equated_covariates={"school": 5}),
          "references unknown step 5"),
+        (lambda plan: plan["steps"][2].update(
+            equated_covariates={"school": "s2018->s2017"}),
+         "covariate 'school' is categorical"),
+        (lambda plan: plan["steps"][2].update(
+            target_equated_covariates={"school": "s2018->s2017"}),
+         "covariate 'school' is categorical"),
         (lambda plan: plan["steps"][0].pop("source"), "step 0: missing 'source'"),
         (lambda plan: plan.update(scale=[0, 100, 5]), "bad scale [0, 100, 5]"),
         (lambda plan: plan.update(datasets=sorted(plan["datasets"].values())), "bad datasets"),
@@ -397,7 +404,8 @@ class TestCmdChain:
             nl={"type": "binned", "thresholds": ["low", "high"]}),
          "bad thresholds ['low', 'high']"),
     ], ids=["step-covariates", "equated-covariates", "target-equated-covariates",
-            "equated-step-id", "no-source", "scale", "datasets-list", "thresholds"])
+            "equated-step-id", "categorical-equated", "categorical-target-equated",
+            "no-source", "scale", "datasets-list", "thresholds"])
     def test_malformed_plan_exits_2(self, tmp_path, capsys, edit, named):
         plan_path = write_chain_fixture(tmp_path)
         plan = json.loads(plan_path.read_text(encoding="utf-8"))

@@ -4,17 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom, norm
 
 from keq.core import EquatingTable, ScoreDistribution, ScoreScale, ValidationError
 from keq.continuize import (
     P_TAIL,
     ContinuizedCdf,
+    _kernel,
     continuize,
     inverse_cdf,
     kernel_cdf,
     kernel_pdf,
-    kernel_pdf_derivative,
     penalty,
     select_bandwidth,
 )
@@ -100,7 +102,7 @@ class TestKernelPdf:
         c = ContinuizedCdf(d, 0.9)
         for x in (2.3, 5.0, 7.75):
             fd = (kernel_pdf(c, x + 1e-6) - kernel_pdf(c, x - 1e-6)) / 2e-6
-            assert kernel_pdf_derivative(c, x) == pytest.approx(fd, rel=1e-4)
+            assert _kernel(c, x, "slope")[0] == pytest.approx(fd, rel=1e-4)
 
 
 class TestBandwidthSelection:
@@ -246,3 +248,51 @@ class TestMomentPreservation:
         grid = np.linspace(d.mean - 4 * sd, d.mean + 4 * sd, 801)
         gauss = norm.cdf(grid, d.mean, sd)
         assert np.max(np.abs(kernel_cdf(c, grid) - gauss)) < 0.005
+
+
+# Random score distributions (at least two score points with mass) and
+# bandwidths; a fixed example sequence keeps the suite reproducible.
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def continuized(draw):
+    n = draw(st.integers(1, 40))
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n + 1, max_size=n + 1)))
+    two = draw(st.lists(st.integers(0, n), min_size=2, max_size=2, unique=True))
+    weights[two] += draw(st.floats(0.05, 1.0))
+    dist = ScoreDistribution(ScoreScale(0, n), weights / weights.sum())
+    return ContinuizedCdf(dist, draw(st.floats(0.1, 3.0)))
+
+
+def support_grid(c, num=201):
+    spread = 6.0 * (math.sqrt(c.sigma2) + c.h)
+    return np.linspace(c.mu - spread, c.mu + spread, num)
+
+
+class TestKernelProperties:
+    @PROPERTY
+    @given(continuized())
+    def test_cdf_nondecreasing(self, c):
+        assert np.all(np.diff(kernel_cdf(c, support_grid(c))) >= 0.0)
+
+    @PROPERTY
+    @given(continuized())
+    def test_pdf_and_slope_match_central_differences(self, c):
+        x = support_grid(c, 41)
+        eps = 1e-4 * c.h
+        pdf, slope = _kernel(c, x, "pdf", "slope")
+        peak = float(np.max(pdf))
+        cdf_diff = (kernel_cdf(c, x + eps) - kernel_cdf(c, x - eps)) / (2 * eps)
+        pdf_diff = (kernel_pdf(c, x + eps) - kernel_pdf(c, x - eps)) / (2 * eps)
+        assert cdf_diff == pytest.approx(pdf, rel=1e-6, abs=1e-7 * peak)
+        assert pdf_diff == pytest.approx(slope, rel=1e-6, abs=1e-7 * peak / c.h)
+
+    @PROPERTY
+    @given(continuized())
+    def test_inverse_undoes_cdf(self, c):
+        x = support_grid(c)
+        cdf, pdf = _kernel(c, x, "cdf", "pdf")
+        # Where the density is tiny the CDF is flat and x is ill-determined.
+        x = x[(pdf > 1e-3) & (cdf > 1e-9) & (cdf < 1.0 - 1e-9)]
+        assert np.max(np.abs(inverse_cdf(c, kernel_cdf(c, x)) - x), initial=0.0) < 1e-10

@@ -18,7 +18,6 @@ from keq.core import (
     coerce_dataset,
     discretize,
     read_person_csv,
-    tabulate,
     tabulate_counts,
 )
 
@@ -154,11 +153,11 @@ class TestDistributions:
 class TestTabulate:
     def test_two_records(self):
         d = make_dataset([0, 1], [0, 1], scale=ScoreScale(0, 1))
-        assert np.allclose(tabulate(d).probs, [[0.5, 0.0], [0.0, 0.5]])
+        assert np.allclose(tabulate_counts(d) / d.n, [[0.5, 0.0], [0.0, 0.5]])
 
     def test_degenerate_mass(self):
         d = make_dataset([1] * 7, [1] * 7, scale=ScoreScale(0, 1))
-        probs = tabulate(d).probs
+        probs = tabulate_counts(d) / d.n
         assert probs[1, 1] == 1.0
         assert probs.sum() == 1.0
 
@@ -167,7 +166,7 @@ class TestTabulate:
         cells = [0, 0, 0, 1, 1, 1]
         d = make_dataset(scores, cells, scale=ScoreScale(0, 2))
         expect = np.array([[2, 0], [1, 2], [0, 1]]) / 6
-        assert np.allclose(tabulate(d).probs, expect)
+        assert np.allclose(tabulate_counts(d) / d.n, expect)
 
     def test_dataset_without_covariates_is_one_cell(self):
         d = Dataset(ScoreScale(0, 4), CovariateSpace(()), np.array([0, 2, 2, 4]), {})
@@ -225,7 +224,7 @@ class TestTabulate:
         for seed in range(5):
             draws = np.random.default_rng(seed).choice(J * L, size=n, p=flat)
             d = Dataset(scale, space, draws // L, {"g": draws % L})
-            emp = tabulate(d).probs
+            emp = tabulate_counts(d) / d.n
             bound = 3 * np.sqrt(probs * (1 - probs) / n)
             ok += int((np.abs(emp - probs) <= bound).sum())
             total += J * L

@@ -9,7 +9,6 @@ from keq.core import (
     Categorical,
     CovariateSpace,
     Dataset,
-    EquatingTable,
     JointProbabilityTable,
     ScoreDistribution,
     ScoreScale,
@@ -23,16 +22,19 @@ from keq.equate import (
     NecInput,
     PipelineSpec,
     PlanError,
-    apply_equating,
     equate_chain,
     equate_covariate,
     equate_gke,
     equate_sequential,
 )
-from keq.metrics import tvd
 from keq.simulate import OTHER_SCORE, ScenarioSpec, gen_population
 
 PASSTHROUGH = GkePipelineConfig(presmooth=None)
+
+
+def tvd(cond_a: dict, cond_b: dict) -> float:
+    """Mean total variation distance between same-keyed conditional distributions."""
+    return float(np.mean([0.5 * np.abs(cond_a[g] - cond_b[g]).sum() for g in cond_a]))
 
 
 def gaussian_dist(scale, mean, sd):
@@ -60,6 +62,11 @@ class TestEquateGke:
         d = gaussian_dist(ScoreScale(0, 40), 20.0, 6.0)
         table = equate_gke(one_cell(d, d), PASSTHROUGH)
         assert np.max(np.abs(table.equated - d.scale.points)) < 1e-6
+
+    def test_mapping_evaluates_between_score_points(self):
+        d = gaussian_dist(ScoreScale(0, 40), 20.0, 6.0)
+        mapping = equate_gke(one_cell(d, d), PASSTHROUGH).mapping
+        assert mapping(17.25) == pytest.approx(17.25, abs=1e-6)
 
     def test_exact_shift_is_recovered(self):
         # y-scores are an exact +3 shift of x-scores: same probability
@@ -238,24 +245,6 @@ def test_eg_ignores_covariates_and_omega():
         spec = PipelineSpec("EG", config=GkePipelineConfig(omega=omega))
         for data in ((p_data, q_data), bare):
             assert np.max(np.abs(spec.run(*data).equated - base)) < 1e-12
-
-
-class TestApplyEquating:
-    def test_table_lookup_and_interpolation(self):
-        table = EquatingTable(ScoreScale(0, 2), [1.0, 3.0, 4.0])
-        assert apply_equating(table, 1.0) == pytest.approx(3.0)
-        assert apply_equating(table, 0.5) == pytest.approx(2.0)
-
-    def test_clamping_below_scale(self):
-        table = EquatingTable(ScoreScale(0, 2), [1.0, 3.0, 4.0])
-        assert apply_equating(table, -5.0) == pytest.approx(1.0)
-        assert apply_equating(table, 99.0) == pytest.approx(4.0)
-
-    def test_functional_map_evaluation(self):
-        d = gaussian_dist(ScoreScale(0, 40), 20.0, 6.0)
-        mapping = equate_gke(one_cell(d, d), PASSTHROUGH).mapping
-        assert mapping(17.25) == pytest.approx(17.25, abs=1e-6)
-        assert apply_equating(mapping, 17.25) == pytest.approx(17.25, abs=1e-6)
 
 
 def synthetic_form(rng, n, mean_shift=0.0, weak=False):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from keq.core import ValidationError
-from keq.metrics import MetricsReport, bias, ediff, mc_see, rmse, tvd
+from keq.metrics import MetricsReport, bias, ediff, mc_see, rmse
 
 
 class TestBias:
@@ -81,34 +81,6 @@ class TestEdiff:
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
             ediff(np.zeros((2, 3)), np.zeros((2, 4)))
-
-
-class TestTvd:
-    def test_identical(self):
-        assert tvd({"g": [0.5, 0.5]}, {"g": [0.5, 0.5]}) == 0.0
-
-    def test_disjoint_support(self):
-        assert tvd({"g": [1.0, 0.0]}, {"g": [0.0, 1.0]}) == pytest.approx(1.0)
-
-    def test_hand_evaluation_two_groups(self):
-        a = {"g1": [0.5, 0.5], "g2": [0.3, 0.7]}
-        b = {"g1": [0.8, 0.2], "g2": [0.3, 0.7]}
-        assert tvd({"g1": a["g1"]}, {"g1": b["g1"]}) == pytest.approx(0.3)
-        assert tvd(a, b) == pytest.approx(0.15)
-
-    def test_group_mismatch(self):
-        with pytest.raises(ValidationError):
-            tvd({"g1": [1.0]}, {"g2": [1.0]})
-
-    def test_range_symmetry_triangle(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            p, q, r = (rng.dirichlet(np.ones(5)) for _ in range(3))
-            d_pq = tvd({"g": p}, {"g": q})
-            d_qp = tvd({"g": q}, {"g": p})
-            assert 0.0 <= d_pq <= 1.0
-            assert d_pq == pytest.approx(d_qp)
-            assert d_pq <= tvd({"g": p}, {"g": r}) + tvd({"g": r}, {"g": q}) + 1e-12
 
 
 class TestReport:
