@@ -105,19 +105,20 @@ def _read_result_csv(path) -> tuple[str, list[tuple[int, list]]]:
                 continue
             if kind is None:
                 if line not in _RESULT_KINDS:
-                    raise CsvFormatError(f"{path}: unrecognized header {line!r}", line=lineno)
+                    raise CsvFormatError(f"unrecognized header {line!r}", line=lineno, path=path)
                 kind, types = _RESULT_KINDS[line]
                 continue
             parts = line.split(",")
             row_types = (str, float) if kind == "metrics" and parts[0] in SUMMARY_ROWS else types
             if len(parts) != len(row_types):
-                raise CsvFormatError(f"expected {len(row_types)} fields", line=lineno)
+                raise CsvFormatError(f"expected {len(row_types)} fields", line=lineno, path=path)
             try:
                 rows.append((lineno, [t(f) for t, f in zip(row_types, parts)]))
             except ValueError:
-                raise CsvFormatError(f"malformed value in {line!r}", line=lineno) from None
+                raise CsvFormatError(f"malformed value in {line!r}", line=lineno,
+                                     path=path) from None
     if not rows:
-        raise CsvFormatError(f"{path}: no data rows")
+        raise CsvFormatError("no data rows", path=path)
     return kind, rows
 
 
@@ -142,11 +143,11 @@ def read_equating_table(path) -> EquatingTable:
     """Parse a CSV written by :func:`write_equating_table`."""
     kind, rows = _read_result_csv(path)
     if kind != "table":
-        raise CsvFormatError(f"{path}: not an equating table CSV")
+        raise CsvFormatError("not an equating table CSV", path=path)
     first = rows[0][1][0]
     for i, (lineno, row) in enumerate(rows):
         if row[0] != first + i:
-            raise CsvFormatError("score points are not consecutive", line=lineno)
+            raise CsvFormatError("score points are not consecutive", line=lineno, path=path)
     _, equated, see, method = zip(*(row for _, row in rows))
     see = None if all(s is None for s in see) else np.array(see, dtype=float)
     return EquatingTable(ScoreScale(first, first + len(rows) - 1), equated, see, method[0])
@@ -169,7 +170,7 @@ def read_metrics_csv(path):
     """Parse a metrics CSV back into per-method vectors plus summary values."""
     kind, rows = _read_result_csv(path)
     if kind != "metrics":
-        raise CsvFormatError(f"{path}: not a metrics CSV")
+        raise CsvFormatError("not a metrics CSV", path=path)
     per_method, summary = {}, {}
     for _, row in rows:
         if len(row) == 2:
@@ -242,6 +243,10 @@ def _pipeline_spec(args) -> PipelineSpec:
     for name in bins:
         if name not in cov_names:
             raise UsageError(f"--bin {name}: not one of --covariates")
+    if args.dump_replicates and not args.bootstrap:
+        raise UsageError("--dump-replicates requires --bootstrap")
+    if args.equate_covariate and not args.sequential:
+        raise UsageError("--equate-covariate requires --sequential")
     if args.sequential:
         if args.design != "nec":
             raise UsageError("--sequential requires --design nec")

@@ -226,14 +226,6 @@ class CovariateSpace:
         ranges = [range(v.n_levels) for v in self.variables]
         return list(itertools.product(*ranges))
 
-    def cell_index(self, level_idx: tuple[int, ...]) -> int:
-        out = 0
-        for v, i in zip(self.variables, level_idx):
-            if not 0 <= i < v.n_levels:
-                raise ValidationError(f"level index {i} out of range for {v.name!r}")
-            out = out * v.n_levels + i
-        return out
-
 
 @dataclass(frozen=True)
 class ScoreDistribution:
@@ -277,9 +269,6 @@ class JointProbabilityTable:
             raise ValidationError(f"probs shape {probs.shape}, expected {expect}")
         probs = _normalized_probs(probs, "joint probability table")
         object.__setattr__(self, "probs", _frozen_array(probs))
-
-    def score_marginal(self) -> ScoreDistribution:
-        return ScoreDistribution(self.scale, self.probs.sum(axis=1))
 
     def covariate_marginal(self) -> np.ndarray:
         return self.probs.sum(axis=0)

@@ -311,6 +311,10 @@ class PipelineSpec:
         nec = NecInput.from_datasets(p_data, q_data, omega=self.config.omega)
         return equate_gke(nec, self.config, method=self.method)
 
+    def __call__(self, p_data: Dataset, q_data: Dataset) -> np.ndarray:
+        """The equated vector, as a replication chunk calls a spec."""
+        return self.run(p_data, q_data).equated
+
 
 # ---------------------------------------------------------------------------
 # Multi-step chains onto a baseline form

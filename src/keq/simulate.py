@@ -8,9 +8,9 @@ twelve built-in scenarios vary the covariate shift between populations,
 the covariate-score relationship strength, an affine difficulty
 adjustment of the second population's scores, and the sample size.
 
-``run_scenario`` runs its replications through the replication driver
-that the bootstrap uses (``uncertainty.replicate``): the same chunking,
-process pool and failure cap, with each replication keyed by its index.
+``run_scenario`` runs its replications through the bootstrap's chunk and
+driver (``uncertainty.run_pairs``, ``replicate``), with a pair maker that
+generates both populations from the replication's two streams.
 """
 
 from __future__ import annotations
@@ -25,14 +25,12 @@ from .core import (
     Categorical,
     CovariateSpace,
     Dataset,
-    KeqError,
     ScoreScale,
     ValidationError,
-    substream,
 )
 from .equate import GkePipelineConfig, PipelineSpec
 from .metrics import MetricsReport
-from .uncertainty import replicate
+from .uncertainty import replicate, run_pairs
 
 __all__ = [
     "ScenarioSpec",
@@ -246,18 +244,10 @@ def truth_values(scenario: ScenarioSpec, scale: ScoreScale) -> np.ndarray:
     return slope * scale.points.astype(float) + intercept
 
 
-def _replications(scenario: ScenarioSpec, params: GeneratorParams, seed: int,
-                  specs: tuple[PipelineSpec, ...], start: int, stop: int):
-    """Equated vectors by method for replications [start, stop)."""
-    rows, failures = [], []
-    for rep in range(start, stop):
-        try:
-            p_data = gen_population("P", scenario, params, substream(seed, rep, 0))
-            q_data = gen_population("Q", scenario, params, substream(seed, rep, 1))
-            rows.append({s.method: s.run(p_data, q_data).equated for s in specs})
-        except KeqError as exc:
-            failures.append((rep, str(exc)))
-    return rows, failures
+def _generate(scenario: ScenarioSpec, params: GeneratorParams, p_rng, q_rng):
+    """One replication's pair of populations."""
+    return (gen_population("P", scenario, params, p_rng),
+            gen_population("Q", scenario, params, q_rng))
 
 
 def run_scenario(scenario: ScenarioSpec, replications: int,
@@ -278,12 +268,11 @@ def run_scenario(scenario: ScenarioSpec, replications: int,
     params = params or GeneratorParams()
     config = config or GkePipelineConfig()
     specs = tuple(PipelineSpec(m, OTHER_SCORE, config) for m in methods)
-    chunk = partial(_replications, scenario, params, seed, specs)
-    kept, failures = replicate(chunk, replications, threads, "replications", "rep")
+    chunk = partial(run_pairs, partial(_generate, scenario, params), specs, seed)
+    rows, failures = replicate(chunk, replications, threads, "replications", "rep")
     scale = params.scale()
-    replicate_matrices = {
-        m: np.vstack([res[m] for res in kept]) for m in methods
-    }
+    stacked = np.stack(rows)  # replications x methods x score points
+    replicate_matrices = {m: stacked[:, k] for k, m in enumerate(methods)}
     header = {
         "scenario": scenario.id,
         "relationship": scenario.relationship,

@@ -1,18 +1,18 @@
 """Standard error of equating via the nonparametric bootstrap, and the
-replication driver that the bootstrap and the simulation harness share.
+replication chunk and driver that the bootstrap and the simulation
+harness share.
 
-Each replicate resamples both populations' person records with
-replacement (independent streams per population), reruns the complete
-pipeline — presmoothing, bandwidth selection and, for sequential
-equating, the covariate-equating step — and the SEE at each score point
-is the sample standard deviation of the replicate equated values.
-Replicates are keyed by (seed, replicate index), so any partition of the
-index range (including parallel execution) reproduces the same matrix.
+``run_pairs`` is the one replication loop.  Index i makes a pair of
+datasets from the streams keyed (seed, i, 0) and (seed, i, 1) and runs
+every spec on that pair, so between-spec differences are paired.  The
+bootstrap's pair maker resamples both populations' person records with
+replacement; the SEE at each score point is the sample standard
+deviation of the replicate equated values.  The simulation's pair maker
+generates both populations.
 
-``replicate`` runs any such index range: it splits it into contiguous
-chunks, runs them serially or on one process pool, joins the results in
-index order and caps the share of failed indices.  ``simulate`` runs its
-Monte-Carlo replications through it too.
+``replicate`` runs any such index range in contiguous chunks, serially
+or on one process pool, joins the results in index order and caps the
+share of failed indices.  Any partition of the range gives the same rows.
 """
 
 from __future__ import annotations
@@ -24,12 +24,27 @@ from functools import partial
 import numpy as np
 
 from .core import Dataset, KeqError, ValidationError, substream
-from .equate import PipelineSpec
+from .equate import PipelineSpec  # re-exported
 
 __all__ = ["BootstrapConfig", "PipelineSpec", "BootstrapResult",
            "bootstrap_replicates", "bootstrap_see", "replicate"]
 
 MAX_FAILURE_FRACTION = 0.05
+
+
+def run_pairs(make_pair, specs, seed: int, start: int, stop: int):
+    """Rows and failures of indices [start, stop).  Index i runs every spec
+    on ``make_pair(substream(seed, i, 0), substream(seed, i, 1))``; its row
+    stacks the specs' vectors, and a KeqError makes ``(i, message)`` its
+    failure instead."""
+    rows, failures = [], []
+    for i in range(start, stop):
+        try:
+            p, q = make_pair(substream(seed, i, 0), substream(seed, i, 1))
+            rows.append(np.stack([np.asarray(spec(p, q), dtype=float) for spec in specs]))
+        except KeqError as exc:
+            failures.append((i, str(exc)))
+    return rows, failures
 
 
 def replicate(chunk, n: int, threads: int, what: str, label: str):
@@ -78,29 +93,25 @@ class BootstrapResult:
     failures: tuple = ()
 
 
+def _resample(p_data: Dataset, q_data: Dataset, p_rng, q_rng):
+    """Both populations' records resampled with replacement."""
+    return (p_data.take(p_rng.integers(0, p_data.n, p_data.n)),
+            q_data.take(q_rng.integers(0, q_data.n, q_data.n)))
+
+
 def bootstrap_replicates(p_data: Dataset, q_data: Dataset, pipeline,
                          config: BootstrapConfig, start: int = 0,
                          stop: int | None = None):
     """Replicate equated-score vectors for replicate indices [start, stop).
 
     ``pipeline`` is a :class:`PipelineSpec` or any callable of
-    ``(p_data, q_data)`` returning the equated vector.  Replicate ``b``
-    always consumes the streams keyed (seed, b), so disjoint index ranges
-    pool into exactly the matrix a single full run would produce.
+    ``(p_data, q_data)`` returning the equated vector.  Each row is a
+    (1 x score points) array, so ``np.vstack(rows)`` is the replicate
+    matrix, and disjoint index ranges pool into that of a full run.
     """
     stop = config.replicates if stop is None else stop
-    spec = pipeline if isinstance(pipeline, PipelineSpec) else None
-    rows, failures = [], []
-    for b in range(start, stop):
-        p_idx = substream(config.seed, b, 0).integers(0, p_data.n, p_data.n)
-        q_idx = substream(config.seed, b, 1).integers(0, q_data.n, q_data.n)
-        try:
-            p_b, q_b = p_data.take(p_idx), q_data.take(q_idx)
-            equated = spec.run(p_b, q_b).equated if spec else pipeline(p_b, q_b)
-            rows.append(np.asarray(equated, dtype=float))
-        except KeqError as exc:
-            failures.append((b, str(exc)))
-    return rows, failures
+    return run_pairs(partial(_resample, p_data, q_data), (pipeline,),
+                     config.seed, start, stop)
 
 
 def bootstrap_see(p_data: Dataset, q_data: Dataset, pipeline,

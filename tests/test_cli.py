@@ -149,6 +149,9 @@ class TestCmdEquate:
         (["--design", "nec", *NEC_FLAGS, "--sequential",
           "--equate-covariate", "school"], "--equate-covariate"),
         (["--design", "nec", "--covariates", "school", "--bin", "nosuch=1,2"], "--bin"),
+        (["--design", "eg", "--dump-replicates", "r.csv"], "--dump-replicates"),
+        (["--design", "nec", *NEC_FLAGS, "--equate-covariate", "other_score"],
+         "--equate-covariate"),
     ])
     def test_inconsistent_flags_exit_2(self, person_files, tmp_path, capsys, flags, named):
         p_path, q_path = person_files
@@ -474,7 +477,7 @@ class TestCmdPlotData:
         bad = tmp_path / "bad.csv"
         bad.write_text(text, encoding="utf-8")
         assert main(["plot-data", str(bad), "--out", str(tmp_path / "o.csv")]) == 2
-        assert f"error: line {line}: " in one_line_error(capsys)
+        assert f"error: {bad}: line {line}: " in one_line_error(capsys)
 
 
 class TestRoundTrip:

@@ -1,5 +1,6 @@
-"""Tests for bootstrap standard errors of equating and the replication driver."""
+"""Tests for bootstrap standard errors of equating, the replication chunk and the driver."""
 
+import re
 from functools import partial
 
 import numpy as np
@@ -12,6 +13,7 @@ from keq.core import (
     KeqError,
     ScoreScale,
     ValidationError,
+    substream,
 )
 from keq.equate import GkePipelineConfig
 from keq.uncertainty import (
@@ -20,6 +22,7 @@ from keq.uncertainty import (
     bootstrap_replicates,
     bootstrap_see,
     replicate,
+    run_pairs,
 )
 
 SPACE = CovariateSpace((Categorical("g", (0, 1)),))
@@ -45,6 +48,36 @@ def every_kth_fails(k, start, stop):
         else:
             rows.append(np.full(3, float(i)))
     return rows, failures
+
+
+def one_draw_each(p_rng, q_rng):
+    """Pair maker: one draw from each stream; a p draw below -0.5 fails."""
+    p, q = p_rng.normal(), q_rng.normal()
+    if p < -0.5:
+        raise ValidationError(f"synthetic failure {p}")
+    return p, q
+
+
+def total(p, q):
+    return np.array([p + q, p])
+
+
+def gap(p, q):
+    return np.array([p - q, q])
+
+
+class TestRunPairs:
+    def test_row_stacks_every_spec_on_the_index_pair(self):
+        rows, failures = run_pairs(one_draw_each, (total, gap), 4, 0, 30)
+        failed = dict(failures)
+        assert 0 < len(failed) < 30 and len(rows) + len(failed) == 30
+        kept = (i for i in range(30) if i not in failed)
+        for i, row in zip(kept, rows):
+            p, q = one_draw_each(substream(4, i, 0), substream(4, i, 1))
+            assert np.array_equal(row, np.stack([total(p, q), gap(p, q)]))
+        for i, message in failed.items():
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                one_draw_each(substream(4, i, 0), substream(4, i, 1))
 
 
 class TestReplicate:
@@ -99,6 +132,13 @@ class TestBootstrapSee:
         first, _ = bootstrap_replicates(p, q, pipeline, config, start=0, stop=8)
         second, _ = bootstrap_replicates(p, q, pipeline, config, start=8, stop=16)
         assert np.array_equal(np.vstack(full), np.vstack(first + second))
+        # The same holds for several specs and for failed indices.
+        chunk = partial(run_pairs, one_draw_each, (total, gap), 4)
+        full, full_failures = chunk(0, 30)
+        first, first_failures = chunk(0, 13)
+        second, second_failures = chunk(13, 30)
+        assert np.array_equal(np.stack(full), np.stack(first + second))
+        assert full_failures == first_failures + second_failures
 
     def test_parallel_threads_reproduce_serial_result(self):
         rng = np.random.default_rng(3)
