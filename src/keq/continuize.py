@@ -46,6 +46,64 @@ RTOL = 8.9e-16
 INVERSE_MAX_ITER = 100
 
 
+class _Smoothing:
+    """Gaussian-kernel smoothing of one score distribution, at any bandwidth.
+
+    Holds what does not depend on h: the score points, their
+    probabilities, the mean and variance, and PEN2's probe points.  A
+    bandwidth search forms it once and evaluates every h against it.
+    """
+
+    def __init__(self, dist: ScoreDistribution):
+        self.points = dist.scale.points.astype(float)
+        self.probs = dist.probs
+        self.mu = dist.mean
+        self.sigma2 = dist.variance
+        self.probes = np.stack([self.points - PEN2_OFFSET, self.points + PEN2_OFFSET])
+
+    def terms(self, h: float, x, *terms):
+        """The asked-for terms at bandwidth h and x (scalar or array), in order.
+
+        "cdf" is the CDF, "pdf" the density and "slope" the density's first
+        derivative.  All of them rest on u = (x - a*x_j - (1-a)*mu) / (a*h)
+        for every score point j, formed here once.
+        """
+        scalar = np.ndim(x) == 0
+        x = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(x)):
+            raise ValidationError("non-finite evaluation point")
+        a = float(np.sqrt(self.sigma2 / (self.sigma2 + h**2)))
+        ah = a * h
+        u = (x[..., None] - a * self.points - (1.0 - a) * self.mu) / ah
+        out = []
+        for term in terms:
+            if term == "cdf":
+                # A row sum, not a matrix product: BLAS rounds a row differently
+                # depending on where it sits in the batch, and the inverse must not.
+                value = (ndtr(u) * self.probs).sum(axis=-1)
+            elif term == "pdf":
+                value = (np.exp(-0.5 * u**2) @ self.probs) * INV_SQRT_2PI / ah
+            else:  # "slope"
+                value = ((-u * np.exp(-0.5 * u**2)) @ self.probs) * INV_SQRT_2PI / ah**2
+            out.append(float(value) if scalar else value)
+        return out
+
+    def pen1(self, h: float) -> float:
+        """Squared gap between the score probabilities and the density."""
+        return float(np.sum((self.probs - self.terms(h, self.points, "pdf")[0]) ** 2))
+
+    def pen2(self, h: float) -> float:
+        """Score points where the density slopes down a quarter point to the
+        left without turning up a quarter point to the right."""
+        left, right = self.terms(h, self.probes, "slope")[0]
+        return float(np.sum((left < 0.0) & ~(right > 0.0)))
+
+    def penalty(self, h: float, kpen: float, pen1: float | None = None) -> float:
+        """PEN1 + kpen * PEN2, with PEN1 taken from ``pen1`` when given."""
+        pen1 = self.pen1(h) if pen1 is None else pen1
+        return pen1 + kpen * self.pen2(h) if kpen != 0.0 else pen1
+
+
 @dataclass(frozen=True)
 class ContinuizedCdf:
     """A kernel-continuized score distribution, evaluable at any real x."""
@@ -60,16 +118,16 @@ class ContinuizedCdf:
             raise ValidationError("continuization undefined for a point mass")
 
     @cached_property
+    def _smoothing(self) -> _Smoothing:
+        return _Smoothing(self.dist)
+
+    @property
     def mu(self) -> float:
-        return self.dist.mean
+        return self._smoothing.mu
 
-    @cached_property
+    @property
     def sigma2(self) -> float:
-        return self.dist.variance
-
-    @cached_property
-    def a(self) -> float:
-        return float(np.sqrt(self.sigma2 / (self.sigma2 + self.h**2)))
+        return self._smoothing.sigma2
 
 
 def continuize(dist: ScoreDistribution, kpen: float = 1.0,
@@ -81,32 +139,8 @@ def continuize(dist: ScoreDistribution, kpen: float = 1.0,
 
 
 def _kernel(c: ContinuizedCdf, x, *terms):
-    """The asked-for terms of ``c`` at x (scalar or array), in order.
-
-    "cdf" is the CDF, "pdf" the density and "slope" the density's first
-    derivative.  All of them rest on u = (x - a*x_j - (1-a)*mu) / (a*h)
-    for every score point j, formed here once.
-    """
-    scalar = np.ndim(x) == 0
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("non-finite evaluation point")
-    pts = c.dist.scale.points.astype(float)
-    ah = c.a * c.h
-    u = (x[..., None] - c.a * pts - (1.0 - c.a) * c.mu) / ah
-    probs = c.dist.probs
-    out = []
-    for term in terms:
-        if term == "cdf":
-            # A row sum, not a matrix product: BLAS rounds a row differently
-            # depending on where it sits in the batch, and the inverse must not.
-            value = (ndtr(u) * probs).sum(axis=-1)
-        elif term == "pdf":
-            value = (np.exp(-0.5 * u**2) @ probs) * INV_SQRT_2PI / ah
-        else:  # "slope"
-            value = ((-u * np.exp(-0.5 * u**2)) @ probs) * INV_SQRT_2PI / ah**2
-        out.append(float(value) if scalar else value)
-    return out
+    """The asked-for terms of ``c`` at x; see ``_Smoothing.terms``."""
+    return c._smoothing.terms(c.h, x, *terms)
 
 
 def kernel_cdf(c: ContinuizedCdf, x):
@@ -127,14 +161,7 @@ def penalty(dist: ScoreDistribution, h: float, kpen: float = 1.0) -> float:
     score point where the density slopes downward a quarter point to the
     left without turning upward a quarter point to the right.
     """
-    c = ContinuizedCdf(dist, h)
-    pts = dist.scale.points.astype(float)
-    pen1 = float(np.sum((dist.probs - kernel_pdf(c, pts)) ** 2))
-    if kpen == 0.0:
-        return pen1
-    left, right = _kernel(c, np.stack([pts - PEN2_OFFSET, pts + PEN2_OFFSET]), "slope")[0]
-    pen2 = float(np.sum((left < 0.0) & ~(right > 0.0)))
-    return pen1 + kpen * pen2
+    return ContinuizedCdf(dist, h)._smoothing.penalty(h, kpen)
 
 
 def select_bandwidth(dist: ScoreDistribution, kpen: float = 1.0) -> float:
@@ -142,19 +169,35 @@ def select_bandwidth(dist: ScoreDistribution, kpen: float = 1.0) -> float:
 
     A 64-point log-spaced grid locates the basin; golden-section search
     refines within the bracketing grid neighbors.  Deterministic.
+
+    PEN2 is computed only at grid points where it can change the grid's
+    argmin.  PEN2 and kpen are nonnegative and rounding is monotone, so
+    no penalty is below its PEN1 (which is never NaN).  With PEN1 at every
+    grid point, the points are visited in ascending (PEN1, index) order,
+    each adding its PEN2, until the next PEN1 exceeds the best penalty so
+    far or equals it at a larger index.  The grid point kept is the one
+    ``np.argmin`` picks over all 64 penalties (the first on ties), so the
+    result equals that of the search that computes every penalty in full.
     """
     if dist.variance <= 0 or np.count_nonzero(dist.probs) < 2:
         raise ValidationError("bandwidth undefined for point mass")
-    if kpen < 0:
-        raise ValidationError("kpen must be nonnegative")
-    h_max = H_MAX_SD_FACTOR * float(np.sqrt(dist.variance))
+    if not 0.0 <= kpen < np.inf:
+        raise ValidationError("kpen must be a finite number >= 0")
+    smoothing = _Smoothing(dist)
+    h_max = H_MAX_SD_FACTOR * float(np.sqrt(smoothing.sigma2))
     grid = np.geomspace(H_MIN, max(h_max, H_MIN * 1.01), num=64)
-    values = [penalty(dist, h, kpen) for h in grid]
-    best = int(np.argmin(values))
+    pen1 = [smoothing.pen1(h) for h in grid]
+    best, value = len(grid), np.inf
+    for i in sorted(range(len(grid)), key=lambda i: (pen1[i], i)):
+        if (pen1[i], i) > (value, best):
+            break
+        total = smoothing.penalty(grid[i], kpen, pen1[i])
+        if (total, i) < (value, best):
+            best, value = i, total
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
-    return _golden_section(lambda h: penalty(dist, h, kpen), lo, hi,
-                           best=(float(grid[best]), values[best]))
+    return _golden_section(lambda h: smoothing.penalty(h, kpen), lo, hi,
+                           best=(float(grid[best]), value))
 
 
 def _golden_section(f, lo: float, hi: float, best: tuple[float, float],

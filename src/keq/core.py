@@ -334,13 +334,20 @@ class Dataset:
         return self._cells
 
     def take(self, indices: np.ndarray) -> "Dataset":
-        """New dataset from row indices (used by bootstrap resampling)."""
-        return Dataset(
-            self.scale,
-            self.covariates,
-            self.scores[indices],
-            {k: c[indices] for k, c in self.columns.items()},
-        )
+        """New dataset from row indices (used by bootstrap resampling).
+
+        The rows were validated when this dataset was built, so the new one
+        is assembled from them directly, cell vector included.
+        """
+        scores, cells = self.scores[indices], self._cells[indices]
+        columns = {k: c[indices] for k, c in self.columns.items()}
+        for arr in (scores, cells, *columns.values()):
+            arr.setflags(write=False)
+        out = object.__new__(Dataset)
+        for name, value in (("scale", self.scale), ("covariates", self.covariates),
+                            ("scores", scores), ("columns", columns), ("_cells", cells)):
+            object.__setattr__(out, name, value)
+        return out
 
     def restrict(self, names) -> "Dataset":
         """The same records with only the covariates named in ``names``."""

@@ -161,6 +161,12 @@ def fit_loglinear(counts: np.ndarray, design: np.ndarray, scale: ScoreScale,
 
     X = np.asarray(design, dtype=float)
 
+    def fitted(b):
+        """Linear predictor, fitted counts and deviance at coefficients b."""
+        eta = np.clip(X @ b, -ETA_CLIP, ETA_CLIP)
+        mu = np.exp(eta)
+        return eta, mu, _deviance(y, mu)
+
     mu = y + 0.5
     eta = np.log(mu)
     beta = None
@@ -191,20 +197,21 @@ def fit_loglinear(counts: np.ndarray, design: np.ndarray, scale: ScoreScale,
             new_beta = scipy.linalg.lstsq(X * sw[:, None], z * sw)[0]
         if not np.all(np.isfinite(new_beta)):
             raise ValidationError("separation or collinearity: singular working matrix")
+        accepted = None
         if beta is not None:
-            # Step-halving keeps the deviance nonincreasing.
+            # Step-halving keeps the deviance nonincreasing.  The accepted
+            # candidate's fit is kept; if every halving fails, the full
+            # step is taken.
             step = 1.0
             for _ in range(MAX_STEP_HALVINGS):
                 cand = beta + step * (new_beta - beta)
-                cand_dev = _deviance(y, np.exp(np.clip(X @ cand, -ETA_CLIP, ETA_CLIP)))
-                if cand_dev <= dev * (1 + 1e-12) + 1e-12:
-                    new_beta = cand
+                cand_fit = fitted(cand)
+                if cand_fit[2] <= dev * (1 + 1e-12) + 1e-12:
+                    new_beta, accepted = cand, cand_fit
                     break
                 step *= 0.5
         beta = new_beta
-        eta = np.clip(X @ beta, -ETA_CLIP, ETA_CLIP)
-        mu = np.exp(eta)
-        dev = _deviance(y, mu)
+        eta, mu, dev = accepted if accepted is not None else fitted(beta)
         score = X.T @ (y - mu)
         if np.max(np.abs(score)) <= tol * total:
             converged = True

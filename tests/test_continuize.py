@@ -1,17 +1,22 @@
 """Tests for Gaussian-kernel continuization and bandwidth selection."""
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom, norm
 
-from keq.core import EquatingTable, ScoreDistribution, ScoreScale, ValidationError
+from keq.core import EquatingTable, ScoreDistribution, ScoreScale, ValidationError, substream
 from keq.continuize import (
+    H_MAX_SD_FACTOR,
+    H_MIN,
     P_TAIL,
     ContinuizedCdf,
+    _Smoothing,
+    _golden_section,
     _kernel,
     continuize,
     inverse_cdf,
@@ -20,7 +25,8 @@ from keq.continuize import (
     penalty,
     select_bandwidth,
 )
-from keq.equate import EquatingMap
+from keq.equate import EquatingMap, GkePipelineConfig, NecInput, _target_probs
+from keq.simulate import ScenarioSpec, gen_population
 
 
 def binomial_dist(n, p):
@@ -29,6 +35,20 @@ def binomial_dist(n, p):
 
 def two_point():
     return ScoreDistribution(ScoreScale(0, 10), [0.5] + [0.0] * 9 + [0.5])
+
+
+def eager_search(dist, kpen):
+    """Bandwidth search with every grid penalty computed in full, then
+    ``np.argmin`` and golden-section refinement: the reference for
+    ``select_bandwidth``.  Returns the bandwidth and the grid penalties."""
+    h_max = H_MAX_SD_FACTOR * math.sqrt(dist.variance)
+    grid = np.geomspace(H_MIN, max(h_max, H_MIN * 1.01), num=64)
+    values = [penalty(dist, h, kpen) for h in grid]
+    best = int(np.argmin(values))
+    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
+    h = _golden_section(lambda h: penalty(dist, h, kpen), lo, hi,
+                        best=(float(grid[best]), values[best]))
+    return h, values
 
 
 def scalar_cdf_oracle(dist, h, x):
@@ -40,6 +60,57 @@ def scalar_cdf_oracle(dist, h, x):
         u = (x - a * xj - (1 - a) * mu) / (a * h)
         total += dist.probs[j] * 0.5 * (1 + math.erf(u / math.sqrt(2)))
     return total
+
+
+# Property tests draw a fixed example sequence, which keeps the suite
+# reproducible.
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def continuized(draw):
+    """A score distribution (at least two points with mass) and a bandwidth."""
+    n = draw(st.integers(1, 40))
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n + 1, max_size=n + 1)))
+    two = draw(st.lists(st.integers(0, n), min_size=2, max_size=2, unique=True))
+    weights[two] += draw(st.floats(0.05, 1.0))
+    dist = ScoreDistribution(ScoreScale(0, n), weights / weights.sum())
+    return ContinuizedCdf(dist, draw(st.floats(0.1, 3.0)))
+
+
+@st.composite
+def grid_penalties(draw):
+    """PEN1 and PEN2 at the 64 bandwidth grid points.  PEN1 is high but at
+    a few points, anywhere on the grid, whose penalties often tie; PEN2 is
+    anything."""
+    pen1 = np.full(64, 8.0)
+    low = draw(st.lists(st.integers(0, 63), min_size=1, max_size=6, unique=True))
+    pen1[low] = draw(st.lists(st.integers(0, 2), min_size=len(low), max_size=len(low)))
+    return pen1, np.array(draw(st.lists(st.integers(0, 3), min_size=64, max_size=64)))
+
+
+def tied_grid_penalties():
+    """At kpen 1, grid point 10 ties grid point 20's least penalty with a
+    larger PEN1, so the search visits it second and must still keep it."""
+    pen1, pen2 = np.full(64, 8.0), np.zeros(64)
+    pen1[10], pen1[20], pen2[20] = 1.0, 0.0, 1.0
+    return pen1, pen2
+
+
+@st.composite
+def multimodal(draw):
+    """Two to four Gaussian bumps on 0..n, plus noise and some empty points."""
+    n = draw(st.integers(8, 60))
+    x = np.arange(n + 1)
+    bumps = draw(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.5, 6.0),
+                                    st.floats(0.1, 1.0)), min_size=2, max_size=4))
+    weights = sum(w * np.exp(-0.5 * ((x - c * n) / sd) ** 2) for c, sd, w in bumps)
+    noise = draw(st.lists(st.floats(0.0, 0.05), min_size=n + 1, max_size=n + 1))
+    weights = weights + np.array(noise) * weights.max()
+    empty = draw(st.lists(st.integers(0, n), max_size=n // 4))
+    weights[empty] = 0.0
+    weights[[int(round(c * n)) for c, _, _ in bumps]] += 0.05 * weights.max()
+    return ScoreDistribution(ScoreScale(0, n), weights / weights.sum())
 
 
 class TestKernelCdf:
@@ -148,6 +219,52 @@ class TestBandwidthSelection:
         with pytest.raises(ValidationError, match="point mass"):
             select_bandwidth(d)
 
+    @pytest.mark.parametrize("kpen", [-0.5, math.inf, math.nan])
+    def test_kpen_must_be_finite_and_nonnegative(self, kpen):
+        with pytest.raises(ValidationError, match="kpen"):
+            select_bandwidth(binomial_dist(10, 0.5), kpen=kpen)
+
+    @pytest.mark.parametrize("scenario_id", [1, 5, 9])
+    def test_equals_eager_search_on_scenarios(self, scenario_id):
+        # r and s of replications 0-2 at seed 0, as the simulation draws them.
+        scenario = ScenarioSpec.from_table(scenario_id)
+        visits = []
+        for rep in range(3):
+            p, q = (gen_population(pop, scenario, seed=substream(0, rep, key))
+                    for key, pop in enumerate("PQ"))
+            r, s, _ = _target_probs(NecInput.from_datasets(p, q), GkePipelineConfig())
+            for dist in (r, s):
+                for kpen in (0.0, 0.5, 1.0):
+                    h, values = eager_search(dist, kpen)
+                    assert select_bandwidth(dist, kpen) == h
+                    if kpen == 0.0:
+                        pen1 = values
+                    else:
+                        # Every grid point whose PEN1 is below the grid's
+                        # least penalty has its PEN2 computed.
+                        visits.append(sum(v < min(values) for v in pen1))
+        assert sum(v > 1 for v in visits) > len(visits) / 2
+
+    @PROPERTY
+    @given(grid_penalties(), st.sampled_from([0.0, 0.5, 1.0]))
+    @example(tied_grid_penalties(), 1.0)
+    def test_equals_eager_search_on_any_grid_penalties(self, penalties, kpen):
+        pen1, pen2 = penalties
+        dist = binomial_dist(20, 0.5)
+        log_grid = np.log(np.geomspace(H_MIN, H_MAX_SD_FACTOR * math.sqrt(dist.variance), 64))
+        with (patch.object(_Smoothing, "pen1",
+                           lambda self, h: float(np.interp(np.log(h), log_grid, pen1))),
+              patch.object(_Smoothing, "pen2",
+                           lambda self, h: float(pen2[np.argmin(abs(log_grid - np.log(h)))]))):
+            assert select_bandwidth(dist, kpen) == eager_search(dist, kpen)[0]
+
+    @PROPERTY
+    @given(st.data())
+    def test_equals_eager_search_on_multimodal_distributions(self, data):
+        dist = data.draw(multimodal())
+        kpen = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+        assert select_bandwidth(dist, kpen) == eager_search(dist, kpen)[0]
+
 
 class TestInverseCdf:
     def test_round_trip(self):
@@ -248,21 +365,6 @@ class TestMomentPreservation:
         grid = np.linspace(d.mean - 4 * sd, d.mean + 4 * sd, 801)
         gauss = norm.cdf(grid, d.mean, sd)
         assert np.max(np.abs(kernel_cdf(c, grid) - gauss)) < 0.005
-
-
-# Random score distributions (at least two score points with mass) and
-# bandwidths; a fixed example sequence keeps the suite reproducible.
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
-
-
-@st.composite
-def continuized(draw):
-    n = draw(st.integers(1, 40))
-    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n + 1, max_size=n + 1)))
-    two = draw(st.lists(st.integers(0, n), min_size=2, max_size=2, unique=True))
-    weights[two] += draw(st.floats(0.05, 1.0))
-    dist = ScoreDistribution(ScoreScale(0, n), weights / weights.sum())
-    return ContinuizedCdf(dist, draw(st.floats(0.1, 3.0)))
 
 
 def support_grid(c, num=201):

@@ -187,6 +187,23 @@ class TestTabulate:
         assert np.array_equal(d.cell_indices(), [5, 4, 7])
         assert np.array_equal(d.take(np.array([2, 2])).cell_indices(), [7, 7])
 
+    def test_take_equals_building_from_the_rows(self):
+        space = CovariateSpace((Categorical("a", ("x", "y")), Binned("c", THRESHOLDS)))
+        columns = {"a": np.array(["y", "x", "y", "x"], dtype=object),
+                   "c": np.array([49.0, 100.0, 65.0, 72.5])}
+        d = Dataset(ScoreScale(0, 3), space, np.array([0, 1, 2, 3]), columns)
+        rows = np.array([3, 0, 0, 2, 1, 3])
+        taken = d.take(rows)
+        built = Dataset(d.scale, d.covariates, d.scores[rows],
+                        {k: c[rows] for k, c in d.columns.items()})
+        for got, want in ((taken.scores, built.scores),
+                          (taken.cell_indices(), built.cell_indices()),
+                          *((taken.columns[k], built.columns[k]) for k in columns)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert not got.flags.writeable
+        assert (taken.scale, taken.covariates, taken.n) == (built.scale, built.covariates, built.n)
+        assert np.array_equal(tabulate_counts(taken), tabulate_counts(built))
+
     def test_restrict_keeps_the_named_covariates(self):
         space = CovariateSpace((Categorical("a", ("x", "y")), Binned("c", THRESHOLDS)))
         columns = {"a": np.array(["y", "x", "y"], dtype=object),

@@ -10,6 +10,8 @@ from keq.core import (
     CovariateSpace,
     ScoreScale,
     ValidationError,
+    substream,
+    tabulate_counts,
 )
 from keq.presmooth import (
     LoglinearSpec,
@@ -17,6 +19,7 @@ from keq.presmooth import (
     fit_loglinear,
     presmooth_counts,
 )
+from keq.simulate import ScenarioSpec, gen_population
 
 THRESHOLDS = (50.0, 60.0, 70.0, 80.0, 100.0)
 
@@ -190,3 +193,16 @@ class TestFit:
         fit = presmooth_counts(counts, scale, space, spec)
         assert fit.converged
         assert fit.fitted_probs.probs[:, 2].sum() < 1e-8
+
+    def test_scenario5_fits_are_pinned(self):
+        # P and Q of scenario 5's first replication at seed 0, as the
+        # simulation draws them.  Exact iteration counts and deviances
+        # catch any change to the IRLS arithmetic.
+        scenario = ScenarioSpec.from_table(5)
+        for pop, key, iterations, deviance in (("P", 0, 25, 1582.5313949405659),
+                                               ("Q", 1, 16, 925.2329800619581)):
+            data = gen_population(pop, scenario, seed=substream(0, 0, key))
+            fit = presmooth_counts(tabulate_counts(data), data.scale, data.covariates,
+                                   LoglinearSpec())
+            assert fit.converged
+            assert (fit.iterations, fit.deviance) == (iterations, deviance)
