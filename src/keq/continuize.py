@@ -35,6 +35,11 @@ H_MIN = 0.05
 H_MAX_SD_FACTOR = 4.0
 PEN2_OFFSET = 0.25
 
+# np.exp(t) is exactly 0.0 for every t <= EXP_ZERO (it underflows below
+# about -745.13), so the Gaussian factor skips those lanes and leaves them
+# zero: NumPy's exp takes a slow path for each lane that underflows.
+EXP_ZERO = -746.0
+
 # inverse_cdf sizes its starting brackets to hold every p in
 # [P_TAIL, 1 - P_TAIL], the range EquatingMap clips source probabilities
 # into; a more extreme p adds bracket points beyond them.  A root is
@@ -66,7 +71,11 @@ class _Smoothing:
 
         "cdf" is the CDF, "pdf" the density and "slope" the density's first
         derivative.  All of them rest on u = (x - a*x_j - (1-a)*mu) / (a*h)
-        for every score point j, formed here once.
+        for every score point j, formed here once.  The Gaussian factor
+        exp(-u**2 / 2) of "pdf" and "slope" is formed once too, and is set
+        to exactly 0.0 without calling exp where -u**2 / 2 <= EXP_ZERO,
+        which is what exp returns there: every entry, and so every result,
+        has the same bits as exp over the whole array.
         """
         scalar = np.ndim(x) == 0
         x = np.asarray(x, dtype=float)
@@ -75,6 +84,9 @@ class _Smoothing:
         a = float(np.sqrt(self.sigma2 / (self.sigma2 + h**2)))
         ah = a * h
         u = (x[..., None] - a * self.points - (1.0 - a) * self.mu) / ah
+        if "pdf" in terms or "slope" in terms:
+            arg = -0.5 * u**2
+            gauss = np.exp(arg, out=np.zeros_like(arg), where=arg > EXP_ZERO)
         out = []
         for term in terms:
             if term == "cdf":
@@ -82,9 +94,9 @@ class _Smoothing:
                 # depending on where it sits in the batch, and the inverse must not.
                 value = (ndtr(u) * self.probs).sum(axis=-1)
             elif term == "pdf":
-                value = (np.exp(-0.5 * u**2) @ self.probs) * INV_SQRT_2PI / ah
+                value = (gauss @ self.probs) * INV_SQRT_2PI / ah
             else:  # "slope"
-                value = ((-u * np.exp(-0.5 * u**2)) @ self.probs) * INV_SQRT_2PI / ah**2
+                value = ((-u * gauss) @ self.probs) * INV_SQRT_2PI / ah**2
             out.append(float(value) if scalar else value)
         return out
 
@@ -170,14 +182,15 @@ def select_bandwidth(dist: ScoreDistribution, kpen: float = 1.0) -> float:
     A 64-point log-spaced grid locates the basin; golden-section search
     refines within the bracketing grid neighbors.  Deterministic.
 
-    PEN2 is computed only at grid points where it can change the grid's
-    argmin.  PEN2 and kpen are nonnegative and rounding is monotone, so
-    no penalty is below its PEN1 (which is never NaN).  With PEN1 at every
-    grid point, the points are visited in ascending (PEN1, index) order,
-    each adding its PEN2, until the next PEN1 exceeds the best penalty so
-    far or equals it at a larger index.  The grid point kept is the one
-    ``np.argmin`` picks over all 64 penalties (the first on ties), so the
-    result equals that of the search that computes every penalty in full.
+    PEN2 is computed only where it can change the result, on the grid and
+    in the refinement (see ``_golden_section``).  PEN2 and kpen are
+    nonnegative and rounding is monotone, so no penalty is below its PEN1
+    (which is never NaN).  With PEN1 at every grid point, the points are
+    visited in ascending (PEN1, index) order, each adding its PEN2, until
+    the next PEN1 exceeds the best penalty so far or equals it at a larger
+    index.  The grid point kept is the one ``np.argmin`` picks over all 64
+    penalties (the first on ties), so the result equals that of the search
+    that computes every penalty in full.
     """
     if dist.variance <= 0 or np.count_nonzero(dist.probs) < 2:
         raise ValidationError("bandwidth undefined for point mass")
@@ -196,23 +209,33 @@ def select_bandwidth(dist: ScoreDistribution, kpen: float = 1.0) -> float:
             best, value = i, total
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
-    return _golden_section(lambda h: smoothing.penalty(h, kpen), lo, hi,
-                           best=(float(grid[best]), value))
+    return _golden_section(smoothing.pen1, lambda h, p1: smoothing.penalty(h, kpen, p1),
+                           lo, hi, best=(float(grid[best]), value))
 
 
-def _golden_section(f, lo: float, hi: float, best: tuple[float, float],
+def _golden_section(pen1, total, lo: float, hi: float, best: tuple[float, float],
                     tol: float = 1e-7) -> float:
     """Golden-section refinement that returns the best *evaluated* point.
 
-    The penalty has step discontinuities (PEN2 is integer-valued), so the
+    ``pen1(h)`` is PEN1 and ``total(h, pen1)`` the full penalty.  The
+    penalty has step discontinuities (PEN2 is integer-valued), so the
     plain golden-section midpoint may land just past a step; tracking the
     best evaluation keeps the result on the right side of it.
+
+    A new point's PEN1 is a lower bound of its penalty, so the full
+    penalty is computed only where it can win the next comparison with the
+    point kept: a new c needs it unless its PEN1 >= fd, a new d unless its
+    PEN1 > fc (c wins ties).  A point left at its PEN1 is discarded by that
+    comparison and is never below ``best``, so the points evaluated, the
+    branches taken and the result equal those of full evaluation.
     """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
+    fc = total(c, pen1(c))
+    p1 = pen1(d)
+    fd = p1 if p1 > fc else total(d, p1)
     for x, fx in ((c, fc), (d, fd)):
         if fx < best[1]:
             best = (x, fx)
@@ -220,13 +243,15 @@ def _golden_section(f, lo: float, hi: float, best: tuple[float, float],
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = f(c)
+            p1 = pen1(c)
+            fc = p1 if p1 >= fd else total(c, p1)
             if fc < best[1]:
                 best = (c, fc)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = f(d)
+            p1 = pen1(d)
+            fd = p1 if p1 > fc else total(d, p1)
             if fd < best[1]:
                 best = (d, fd)
     return best[0]

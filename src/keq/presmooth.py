@@ -158,6 +158,8 @@ def fit_loglinear(counts: np.ndarray, design: np.ndarray, scale: ScoreScale,
         raise ValidationError("all-zero counts")
     if tol <= 0:
         raise ValidationError("tol must be positive")
+    if max_iter < 1:
+        raise ValidationError("max_iter must be at least 1")
 
     X = np.asarray(design, dtype=float)
 

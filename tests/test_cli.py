@@ -63,6 +63,26 @@ class TestCmdEquate:
         assert table.source_scale == ScoreScale(0, 100)
         assert np.all(np.diff(table.equated) >= -1e-9)
 
+    def test_unconverged_presmoothing_warns_on_stderr(self, person_files, tmp_path,
+                                                     capsys, monkeypatch):
+        p_path, q_path = person_files
+        argv = ["equate", "--design", "nec", "--p", str(p_path), "--q", str(q_path),
+                *NEC_FLAGS, "--precision", "full"]
+        assert main([*argv, "--out", str(tmp_path / "converged.csv")]) == 0
+        assert capsys.readouterr().err == ""
+        fit = keq.presmooth.fit_loglinear
+        monkeypatch.setattr(keq.presmooth, "fit_loglinear",
+                            lambda *a, **kw: fit(*a, **{**kw, "max_iter": 1}))
+        for out in ("quiet.csv", "verbose.csv"):
+            flags = ["--verbose"] if out == "verbose.csv" else []
+            assert main([*argv, *flags, "--out", str(tmp_path / out)]) == 0
+            err = capsys.readouterr().err.splitlines()
+            assert [line[:23] for line in err] == ["warning: presmoothing P",
+                                                   "warning: presmoothing Q"]
+            assert all("IRLS stopped after 1 iterations" in line for line in err)
+        assert ((tmp_path / "quiet.csv").read_bytes()
+                == (tmp_path / "verbose.csv").read_bytes())
+
     def test_sequential_records_covariate_summary(self, person_files, tmp_path):
         p_path, q_path = person_files
         out = tmp_path / "seq.csv"

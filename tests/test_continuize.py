@@ -11,12 +11,13 @@ from scipy.stats import binom, norm
 
 from keq.core import EquatingTable, ScoreDistribution, ScoreScale, ValidationError, substream
 from keq.continuize import (
+    EXP_ZERO,
     H_MAX_SD_FACTOR,
     H_MIN,
+    INV_SQRT_2PI,
     P_TAIL,
     ContinuizedCdf,
     _Smoothing,
-    _golden_section,
     _kernel,
     continuize,
     inverse_cdf,
@@ -37,18 +38,55 @@ def two_point():
     return ScoreDistribution(ScoreScale(0, 10), [0.5] + [0.0] * 9 + [0.5])
 
 
+def eager_golden_section(f, lo, hi, best, tol=1e-7):
+    """Golden-section refinement with every penalty computed in full,
+    returning the best evaluated point."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for x, fx in ((c, fc), (d, fd)):
+        if fx < best[1]:
+            best = (x, fx)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+            if fc < best[1]:
+                best = (c, fc)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+            if fd < best[1]:
+                best = (d, fd)
+    return best[0]
+
+
 def eager_search(dist, kpen):
-    """Bandwidth search with every grid penalty computed in full, then
-    ``np.argmin`` and golden-section refinement: the reference for
-    ``select_bandwidth``.  Returns the bandwidth and the grid penalties."""
+    """Bandwidth search with every penalty computed in full: ``np.argmin``
+    over the grid, then golden-section refinement.  The reference for
+    ``select_bandwidth``; returns the bandwidth and the grid penalties."""
     h_max = H_MAX_SD_FACTOR * math.sqrt(dist.variance)
     grid = np.geomspace(H_MIN, max(h_max, H_MIN * 1.01), num=64)
     values = [penalty(dist, h, kpen) for h in grid]
     best = int(np.argmin(values))
     lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
-    h = _golden_section(lambda h: penalty(dist, h, kpen), lo, hi,
-                        best=(float(grid[best]), values[best]))
+    h = eager_golden_section(lambda h: penalty(dist, h, kpen), lo, hi,
+                             best=(float(grid[best]), values[best]))
     return h, values
+
+
+def unmasked_terms(dist, h, x):
+    """Density and slope at x with exp taken over every kernel entry."""
+    a = float(np.sqrt(dist.variance / (dist.variance + h**2)))
+    ah = a * h
+    u = (x[..., None] - a * dist.scale.points.astype(float) - (1.0 - a) * dist.mean) / ah
+    gauss = np.exp(-0.5 * u**2)
+    return ((gauss @ dist.probs) * INV_SQRT_2PI / ah,
+            ((-u * gauss) @ dist.probs) * INV_SQRT_2PI / ah**2)
 
 
 def scalar_cdf_oracle(dist, h, x):
@@ -80,13 +118,20 @@ def continuized(draw):
 
 @st.composite
 def grid_penalties(draw):
-    """PEN1 and PEN2 at the 64 bandwidth grid points.  PEN1 is high but at
-    a few points, anywhere on the grid, whose penalties often tie; PEN2 is
-    anything."""
+    """PEN1 and PEN2 on the 64 bandwidth grid points and between them.
+
+    On the grid, PEN1 is high but at a few points, anywhere on the grid,
+    whose penalties often tie; PEN2 is anything.  Between grid points PEN1
+    steps through four small integers per grid cell and PEN2 is picked by
+    the low bits of h, so the refinement's new points often tie the PEN1,
+    or the full penalty, of the point it keeps."""
     pen1 = np.full(64, 8.0)
     low = draw(st.lists(st.integers(0, 63), min_size=1, max_size=6, unique=True))
     pen1[low] = draw(st.lists(st.integers(0, 2), min_size=len(low), max_size=len(low)))
-    return pen1, np.array(draw(st.lists(st.integers(0, 3), min_size=64, max_size=64)))
+    pen2 = np.array(draw(st.lists(st.integers(0, 3), min_size=64, max_size=64)))
+    between1 = np.array(draw(st.lists(st.integers(0, 3), min_size=4, max_size=4)))
+    between2 = np.array(draw(st.lists(st.integers(0, 3), min_size=8, max_size=8)))
+    return pen1, pen2, between1, between2
 
 
 def tied_grid_penalties():
@@ -94,7 +139,32 @@ def tied_grid_penalties():
     larger PEN1, so the search visits it second and must still keep it."""
     pen1, pen2 = np.full(64, 8.0), np.zeros(64)
     pen1[10], pen1[20], pen2[20] = 1.0, 0.0, 1.0
-    return pen1, pen2
+    return pen1, pen2, np.full(4, 8), np.zeros(8, dtype=int)
+
+
+def patched_penalties(dist, penalties):
+    """``_Smoothing.pen1`` and ``pen2`` replaced by ``grid_penalties``'
+    values on the bandwidth grid of ``dist``."""
+    pen1, pen2, between1, between2 = penalties
+    grid = np.geomspace(H_MIN, H_MAX_SD_FACTOR * math.sqrt(dist.variance), 64)
+
+    def cell(h):
+        k = int(np.searchsorted(grid, h))
+        return k, (k < len(grid) and grid[k] == h)
+
+    def patched_pen1(self, h):
+        k, on_grid = cell(h)
+        if on_grid:
+            return float(pen1[k])
+        t = math.log(h / grid[k - 1]) / math.log(grid[k] / grid[k - 1])
+        return float(between1[min(int(4 * t), 3)])
+
+    def patched_pen2(self, h):
+        k, on_grid = cell(h)
+        return float(pen2[k] if on_grid else between2[int(np.float64(h).view(np.int64)) % 8])
+
+    return (patch.object(_Smoothing, "pen1", patched_pen1),
+            patch.object(_Smoothing, "pen2", patched_pen2))
 
 
 @st.composite
@@ -249,13 +319,9 @@ class TestBandwidthSelection:
     @given(grid_penalties(), st.sampled_from([0.0, 0.5, 1.0]))
     @example(tied_grid_penalties(), 1.0)
     def test_equals_eager_search_on_any_grid_penalties(self, penalties, kpen):
-        pen1, pen2 = penalties
         dist = binomial_dist(20, 0.5)
-        log_grid = np.log(np.geomspace(H_MIN, H_MAX_SD_FACTOR * math.sqrt(dist.variance), 64))
-        with (patch.object(_Smoothing, "pen1",
-                           lambda self, h: float(np.interp(np.log(h), log_grid, pen1))),
-              patch.object(_Smoothing, "pen2",
-                           lambda self, h: float(pen2[np.argmin(abs(log_grid - np.log(h)))]))):
+        patch_pen1, patch_pen2 = patched_penalties(dist, penalties)
+        with patch_pen1, patch_pen2:
             assert select_bandwidth(dist, kpen) == eager_search(dist, kpen)[0]
 
     @PROPERTY
@@ -264,6 +330,34 @@ class TestBandwidthSelection:
         dist = data.draw(multimodal())
         kpen = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
         assert select_bandwidth(dist, kpen) == eager_search(dist, kpen)[0]
+
+
+class TestExactZeros:
+    def test_exp_is_zero_at_and_below_threshold(self):
+        t = np.concatenate([np.linspace(-1e4, EXP_ZERO, 100_003), [EXP_ZERO, -1e300]])
+        for args in (t, t[1::3], t[::-1].copy()):
+            e = np.exp(args)
+            assert np.all(e == 0.0) and not np.any(np.signbit(e))
+        assert all(math.exp(v) == 0.0 for v in (EXP_ZERO, -800.0, -1e4))
+
+    @pytest.mark.parametrize("h", [H_MIN, 9.0])
+    def test_terms_equal_unmasked_formula(self, h):
+        # A pass-through table of 40 draws on 0..60: most points are empty.
+        rng = np.random.default_rng(4)
+        counts = np.bincount(rng.binomial(60, 0.45, 40), minlength=61)
+        dist = ScoreDistribution(ScoreScale(0, 60), counts / counts.sum())
+        c = ContinuizedCdf(dist, h)
+        points = dist.scale.points.astype(float)
+        x = np.concatenate([points, np.linspace(-30.0, 90.0, 241)])
+        pdf, slope = unmasked_terms(dist, h, x)
+        assert np.array_equal(kernel_pdf(c, x), pdf)
+        assert np.array_equal(_kernel(c, x, "pdf", "slope")[1], slope)
+        assert kernel_pdf(c, 17.0) == unmasked_terms(dist, h, np.array(17.0))[0]
+        left, right = unmasked_terms(dist, h, np.stack([points - 0.25, points + 0.25]))[1]
+        pen1 = float(np.sum((dist.probs - unmasked_terms(dist, h, points)[0]) ** 2))
+        pen2 = float(np.sum((left < 0.0) & ~(right > 0.0)))
+        for kpen in (0.0, 0.5, 1.0):
+            assert penalty(dist, h, kpen) == (pen1 + kpen * pen2 if kpen else pen1)
 
 
 class TestInverseCdf:

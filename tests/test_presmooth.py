@@ -166,6 +166,14 @@ class TestFit:
         assert not fit.converged
         assert fit.warning is not None and "1 iteration" in fit.warning
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_iteration_budget_below_one_rejected(self, max_iter):
+        scale = ScoreScale(0, 3)
+        counts = np.array([[3.0], [4.0], [5.0], [2.0]])
+        with pytest.raises(ValidationError, match="max_iter"):
+            fit_loglinear(counts, np.ones((4, 1)), scale, CovariateSpace(()),
+                          max_iter=max_iter)
+
     def test_all_zero_counts_rejected(self):
         scale = ScoreScale(0, 3)
         space = CovariateSpace(())
