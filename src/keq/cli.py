@@ -277,9 +277,13 @@ def cmd_equate(args) -> int:
         boot = _input_phase(BootstrapConfig, args.bootstrap, args.seed)
     metadata = {"command": "equate", "design": args.design}
     table = spec.run(p_data, q_data)
-    for name, fit in table.diagnostics.get("presmooth", {}).items():
-        if "warning" in fit:
-            print(f"warning: presmoothing {name.upper()}: {fit['warning']}", file=sys.stderr)
+    covariate_run = table.diagnostics.get("covariate_equating", {})
+    for run, fits in (("", table.diagnostics.get("presmooth", {})),
+                      (" (covariate run)", covariate_run.get("presmooth", {}))):
+        for name, fit in fits.items():
+            if "warning" in fit:
+                print(f"warning: presmoothing {name.upper()}{run}: {fit['warning']}",
+                      file=sys.stderr)
     if args.sequential:
         summary = table.diagnostics["covariate_equating"]
         metadata["equated_covariate"] = args.equate_covariate

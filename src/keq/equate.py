@@ -150,6 +150,8 @@ def _fit_summary(fit) -> dict:
         "converged": fit.converged,
         "iterations": fit.iterations,
         "deviance": fit.deviance,
+        "score_residual": fit.score_residual,
+        "step_halvings": fit.step_halvings,
         **({"warning": fit.warning} if fit.warning else {}),
     }
 
@@ -214,10 +216,11 @@ def equate_covariate(p_data: Dataset, q_data: Dataset, covariate: str,
     """Equate a score-like covariate from the second population onto the first.
 
     The covariate plays the score role in a nested NEC run over the
-    remaining covariates (EG, the one-cell case, when there are none);
-    the returned map sends second-population covariate values onto the
-    first population's covariate scale.  The transformed dataset carries the
-    real-valued equated covariate in place of the original column.
+    remaining covariates (EG, the one-cell case, when there are none).
+    Returns that run's table, whose ``mapping`` sends second-population
+    covariate values onto the first population's covariate scale, and the
+    transformed dataset, which carries the real-valued equated covariate
+    in place of the original column.
 
     The nested run's mixture weight is the complement of the main run's
     (the source role is played by the second population), which under the
@@ -248,9 +251,9 @@ def equate_covariate(p_data: Dataset, q_data: Dataset, covariate: str,
     # Roles swap: the second population is the source of the covariate map.
     omega_cov = (1.0 - config.omega) if config.omega is not None else None
     nested = NecInput.from_datasets(q_sub, p_sub, omega=omega_cov)
-    mapping = equate_gke(nested, config).mapping
-    transformed = _evaluate_unique(mapping, q_data.columns[covariate])
-    return mapping, q_data.with_column(covariate, transformed)
+    table = equate_gke(nested, config)
+    transformed = _evaluate_unique(table.mapping, q_data.columns[covariate])
+    return table, q_data.with_column(covariate, transformed)
 
 
 def equate_sequential(p_data: Dataset, q_data: Dataset, covariate: str,
@@ -262,9 +265,14 @@ def equate_sequential(p_data: Dataset, q_data: Dataset, covariate: str,
     arbitrary callable (identity reproduces plain GKE on the same data).
     """
     config = config or GkePipelineConfig()
+    nested_fits = None
     if covariate_map is None:
-        covariate_map, q_trans = equate_covariate(p_data, q_data, covariate,
-                                                  config=config)
+        nested, q_trans = equate_covariate(p_data, q_data, covariate, config=config)
+        if "presmooth" in nested.diagnostics:
+            # The nested run's source is the second population: key its fits
+            # by the population they were fitted to.
+            fits = nested.diagnostics["presmooth"]
+            nested_fits = {"p": fits["q"], "q": fits["p"]}
     else:
         q_trans = q_data.with_column(
             covariate, _evaluate_unique(covariate_map, q_data.columns[covariate])
@@ -278,6 +286,7 @@ def equate_sequential(p_data: Dataset, q_data: Dataset, covariate: str,
         "covariate": covariate,
         "mean_shift": float(shift.mean()),
         "mean_abs_shift": float(np.abs(shift).mean()),
+        **({"presmooth": nested_fits} if nested_fits else {}),
     }
     return table
 

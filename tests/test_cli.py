@@ -83,6 +83,21 @@ class TestCmdEquate:
         assert ((tmp_path / "quiet.csv").read_bytes()
                 == (tmp_path / "verbose.csv").read_bytes())
 
+    def test_unconverged_covariate_run_presmoothing_warns(self, person_files, tmp_path,
+                                                          capsys, monkeypatch):
+        p_path, q_path = person_files
+        fit = keq.presmooth.fit_loglinear
+        monkeypatch.setattr(keq.presmooth, "fit_loglinear",
+                            lambda *a, **kw: fit(*a, **{**kw, "max_iter": 1}))
+        assert main(["equate", "--design", "nec", "--p", str(p_path), "--q", str(q_path),
+                     *NEC_FLAGS, "--sequential", "--equate-covariate", "other_score",
+                     "--out", str(tmp_path / "seq.csv")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[1] for line in err] == [
+            " presmoothing P", " presmoothing Q",
+            " presmoothing P (covariate run)", " presmoothing Q (covariate run)"]
+        assert all("IRLS stopped after 1 iterations" in line for line in err)
+
     def test_sequential_records_covariate_summary(self, person_files, tmp_path):
         p_path, q_path = person_files
         out = tmp_path / "seq.csv"

@@ -131,7 +131,7 @@ class TestEquateGke:
 class TestEquateCovariate:
     def test_identity_when_populations_coincide(self):
         p_data, _ = scenario_pair(1, 8000, seed=5)
-        phi, transformed = equate_covariate(p_data, p_data, OTHER_SCORE)
+        _, transformed = equate_covariate(p_data, p_data, OTHER_SCORE)
         delta = np.abs(
             np.asarray(transformed.columns[OTHER_SCORE])
             - np.asarray(p_data.columns[OTHER_SCORE], dtype=float)
@@ -143,11 +143,11 @@ class TestEquateCovariate:
         q_data = p_data.with_column(
             OTHER_SCORE, np.asarray(p_data.columns[OTHER_SCORE]) + 10
         )
-        phi, _ = equate_covariate(p_data, q_data, OTHER_SCORE, config=PASSTHROUGH)
+        nested, _ = equate_covariate(p_data, q_data, OTHER_SCORE, config=PASSTHROUGH)
         values = np.asarray(q_data.columns[OTHER_SCORE], dtype=float)
         lo, hi = np.quantile(values, [0.05, 0.95])
         grid = np.arange(int(lo), int(hi) + 1, dtype=float)
-        assert np.max(np.abs(np.asarray(phi(grid)) - (grid - 10))) < 0.1
+        assert np.max(np.abs(np.asarray(nested.mapping(grid)) - (grid - 10))) < 0.1
 
     def test_scenario5_transform_aligns_conditional_bins(self):
         # After equating the shifted covariate, the per-(school, attempt)
@@ -211,6 +211,18 @@ class TestEquateSequential:
                                 covariate_map=lambda v: v)
         assert np.max(np.abs(seq.equated - plain.equated)) < 1e-6
         assert seq.method == "sequential GKE"
+
+    def test_nested_presmoothing_fits_kept_by_population(self):
+        p_data, q_data = scenario_pair(1, 3000, seed=2)
+        fits = equate_sequential(p_data, q_data, OTHER_SCORE).diagnostics[
+            "covariate_equating"]["presmooth"]
+        nested, _ = equate_covariate(p_data, q_data, OTHER_SCORE)
+        # The nested run's source is the second population.
+        assert fits == {"p": nested.diagnostics["presmooth"]["q"],
+                        "q": nested.diagnostics["presmooth"]["p"]}
+        assert {"converged", "iterations", "score_residual", "step_halvings"} <= set(fits["p"])
+        given_map = equate_sequential(p_data, q_data, OTHER_SCORE, covariate_map=lambda v: v)
+        assert "presmooth" not in given_map.diagnostics["covariate_equating"]
 
     def test_scenario5_sequential_is_less_biased(self):
         p_data, q_data = scenario_pair(5, 50_000, seed=4)
