@@ -19,7 +19,7 @@ from .core import (
     read_person_csv,
     tabulate_counts,
 )
-from .continuize import ContinuizedCdf, continuize, inverse_cdf, kernel_cdf, kernel_pdf, select_bandwidth
+from .continuize import ContinuizedCdf, inverse_cdf, kernel_cdf, kernel_pdf, select_bandwidth
 from .equate import (
     ChainPlan,
     ChainStep,

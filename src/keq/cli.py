@@ -334,22 +334,33 @@ def _fields(block, kinds: dict, where: str, required=()) -> dict:
 
 def _json(kind, item=object, count: int | None = None):
     """Conversion that checks a JSON value's type, and a list's item type and
-    length (any length if None); a list becomes a tuple."""
+    length (any length if None); a list becomes a tuple.  JSON true and false
+    are not numbers."""
+    def _is(value, kind) -> bool:
+        return isinstance(value, kind) and not isinstance(value, bool)
+
     def convert(value):
-        if not isinstance(value, kind) or (kind is list and (
-                count not in (None, len(value)) or not all(isinstance(v, item) for v in value))):
+        if not _is(value, kind) or (kind is list and (
+                count not in (None, len(value)) or not all(_is(v, item) for v in value))):
             raise TypeError(value)
         return tuple(value) if kind is list else value
     return convert
 
 
 _NUMBER, _STR = (int, float), _json(str)
-_SCENARIO_KEYS = {"id": int, "relationship": _STR, "covariate_shift": float,
-                  "y_transform": _json(list, _NUMBER, 2), "alpha": float, "beta": float,
-                  "n": int, "generator": _json(dict)}
+
+
+def _float(value) -> float:
+    return float(_json(_NUMBER)(value))
+
+
+_SCENARIO_KEYS = {"id": _json(int), "relationship": _STR, "covariate_shift": _float,
+                  "y_transform": _json(list, _NUMBER, 2), "alpha": _float, "beta": _float,
+                  "n": _json(int), "generator": _json(dict)}
 _GENERATOR_KEYS = {
-    **{f.name: float for f in fields(GeneratorParams) if isinstance(f.default, float)},
-    "pop_p": lambda v: BinaryPairParams(*v), "pop_q": lambda v: BinaryPairParams(*v),
+    **{f.name: _float for f in fields(GeneratorParams) if isinstance(f.default, float)},
+    "pop_p": lambda v: BinaryPairParams(*_json(list, _NUMBER, 3)(v)),
+    "pop_q": lambda v: BinaryPairParams(*_json(list, _NUMBER, 3)(v)),
     "covariate_range": _json(list, _NUMBER, 2), "covariate_thresholds": _json(list, _NUMBER),
     "score_range": _json(list, _NUMBER, 2),
 }
@@ -359,7 +370,7 @@ _PLAN_COVARIATE_KEYS = {"type": _STR, "thresholds": _json(list, _NUMBER),
                         "levels": _json(list, (str, *_NUMBER))}
 _STEP_KEYS = {"source": _STR, "target": _STR, "design": _STR, "covariates": _json(list, str),
               "equated_covariates": _json(dict), "target_equated_covariates": _json(dict),
-              "omega": lambda v: v, "id": _STR}
+              "omega": _json(_NUMBER), "id": _STR}
 
 
 def load_scenario_config(path) -> tuple[ScenarioSpec, GeneratorParams]:
@@ -429,8 +440,7 @@ def _safe_name(form: str) -> str:
 
 def cmd_chain(args) -> int:
     plan, datasets = _input_phase(load_chain_plan, args.plan)
-    config = GkePipelineConfig()
-    result = equate_chain(plan, datasets, config)
+    result = equate_chain(plan, datasets)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for step_id, table in result.step_tables.items():

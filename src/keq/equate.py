@@ -19,6 +19,7 @@ maps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
 
@@ -145,6 +146,16 @@ def _evaluate_unique(mapping, values: np.ndarray) -> np.ndarray:
     return np.asarray(mapping(uniq))[inverse]
 
 
+def _through_maps(data: Dataset, maps: dict) -> Dataset:
+    """``data`` with each column in ``maps`` pushed through its maps, each distinct value once."""
+    for name, chain in maps.items():
+        values = data.columns[name]
+        for mapping in chain:
+            values = _evaluate_unique(mapping, values)
+        data = data.with_column(name, values)
+    return data
+
+
 def _fit_summary(fit) -> dict:
     return {
         "converged": fit.converged,
@@ -252,8 +263,7 @@ def equate_covariate(p_data: Dataset, q_data: Dataset, covariate: str,
     omega_cov = (1.0 - config.omega) if config.omega is not None else None
     nested = NecInput.from_datasets(q_sub, p_sub, omega=omega_cov)
     table = equate_gke(nested, config)
-    transformed = _evaluate_unique(table.mapping, q_data.columns[covariate])
-    return table, q_data.with_column(covariate, transformed)
+    return table, _through_maps(q_data, {covariate: (table.mapping,)})
 
 
 def equate_sequential(p_data: Dataset, q_data: Dataset, covariate: str,
@@ -274,9 +284,7 @@ def equate_sequential(p_data: Dataset, q_data: Dataset, covariate: str,
             fits = nested.diagnostics["presmooth"]
             nested_fits = {"p": fits["q"], "q": fits["p"]}
     else:
-        q_trans = q_data.with_column(
-            covariate, _evaluate_unique(covariate_map, q_data.columns[covariate])
-        )
+        q_trans = _through_maps(q_data, {covariate: (covariate_map,)})
     shift = np.asarray(q_trans.columns[covariate], dtype=float) - np.asarray(
         q_data.columns[covariate], dtype=float
     )
@@ -353,8 +361,9 @@ class ChainStep:
             raise PlanError(f"unknown design {self.design!r} (expected eg or nec)")
         if self.design == "nec" and not self.covariates:
             raise PlanError(f"step {self.source}->{self.target}: nec needs covariates")
-        if self.omega is not None and not (
-                isinstance(self.omega, (int, float)) and 0.0 <= self.omega <= 1.0):
+        # A bool is an int to isinstance, but true is not a mixture weight.
+        if self.omega is not None and (isinstance(self.omega, bool) or not (
+                isinstance(self.omega, (int, float)) and 0.0 <= self.omega <= 1.0)):
             raise PlanError(
                 f"step {self.source}->{self.target}: omega {self.omega!r} outside [0, 1]"
             )
@@ -368,15 +377,28 @@ class ChainStep:
             object.__setattr__(self, "id", f"{self.source}->{self.target}")
 
 
+def _topological(graph: dict, what: str) -> tuple:
+    """Nodes of ``graph`` (node -> predecessors), predecessors first; a cycle is a PlanError."""
+    try:
+        return tuple(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        raise PlanError(f"{what} involving {exc.args[1][0]!r}") from None
+
+
 @dataclass(frozen=True)
 class ChainPlan:
+    """Steps onto the ``baseline`` form; the whole plan is checked when built.
+    ``run_order`` puts each step after the steps whose maps it uses.  Steps
+    that only align a covariate's forms may dead-end away from the baseline."""
+
     baseline: str
     steps: tuple[ChainStep, ...]
+    run_order: tuple[ChainStep, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
-        ids = [s.id for s in self.steps]
-        if len(set(ids)) != len(ids):
+        by_id = {s.id: s for s in self.steps}
+        if len(by_id) != len(self.steps):
             raise PlanError("duplicate step ids")
         sources = [s.source for s in self.steps]
         if len(set(sources)) != len(sources):
@@ -384,18 +406,17 @@ class ChainPlan:
             raise PlanError(f"form {dup!r} is the source of more than one step")
         if self.baseline in sources:
             raise PlanError("baseline form cannot be equated away")
-        # Paths must be acyclic; auxiliary sub-chains (e.g. steps that
-        # only align a covariate's forms) may dead-end away from the
-        # baseline and simply produce no composed table.
-        nxt = {s.source: s.target for s in self.steps}
-        for start in sources:
-            seen = set()
-            node = start
-            while node != self.baseline and node in nxt:
-                if node in seen:
-                    raise PlanError(f"cycle in plan involving {node!r}")
-                seen.add(node)
-                node = nxt[node]
+        _topological({s.source: (s.target,) for s in self.steps}, "cycle in plan")
+        refs = {s.id: [ref for equated in (s.equated_covariates, s.target_equated_covariates)
+                       for named in equated.values() for ref in named]
+                for s in self.steps}
+        for step_id, deps in refs.items():
+            # Compared as a list: a malformed reference need not be hashable.
+            unknown = [d for d in deps if d not in list(by_id)]
+            if unknown:
+                raise PlanError(f"step {step_id!r} references unknown step {unknown[0]!r}")
+        order = _topological(refs, "cyclic step references")
+        object.__setattr__(self, "run_order", tuple(by_id[i] for i in order))
 
     def path_to_baseline(self, form: str) -> list[ChainStep]:
         by_source = {s.source: s for s in self.steps}
@@ -410,63 +431,22 @@ class ChainPlan:
 
 @dataclass(frozen=True)
 class ChainResult:
+    """Step tables by step id; composed tables (``.mapping``: the composed map) by form."""
+
     step_tables: dict
     composed_tables: dict
-    composed_maps: dict
-
-
-def _ordered_steps(plan: ChainPlan) -> list[ChainStep]:
-    """Steps in an order where every referenced step runs first."""
-    by_id = {s.id: s for s in plan.steps}
-    refs = {}
-    for s in plan.steps:
-        deps = []
-        for mapping in (s.equated_covariates, s.target_equated_covariates):
-            for step_ids in mapping.values():
-                deps.extend(step_ids)
-        for d in deps:
-            if d not in by_id:
-                raise PlanError(f"step {s.id!r} references unknown step {d!r}")
-            if d == s.id:
-                raise PlanError(f"step {s.id!r} references itself")
-        refs[s.id] = deps
-    ordered, done, visiting = [], set(), set()
-
-    def visit(step_id):
-        if step_id in done:
-            return
-        if step_id in visiting:
-            raise PlanError(f"cyclic step references involving {step_id!r}")
-        visiting.add(step_id)
-        for d in refs[step_id]:
-            visit(d)
-        visiting.discard(step_id)
-        done.add(step_id)
-        ordered.append(by_id[step_id])
-
-    for s in plan.steps:
-        visit(s.id)
-    return ordered
-
-
-def _subset_for_step(data: Dataset, step: ChainStep, replacements: dict) -> Dataset:
-    for col, maps in replacements.items():
-        values = np.asarray(data.columns[col], dtype=float)
-        for m in maps:
-            values = _evaluate_unique(m, values)
-        data = data.with_column(col, values)
-    return data.restrict(step.covariates)
 
 
 def equate_chain(plan: ChainPlan, datasets: dict,
                  config: GkePipelineConfig | None = None) -> ChainResult:
-    """Execute a chain plan: per-step tables plus composed maps onto baseline."""
+    """Run the steps in ``plan.run_order`` and compose each form's path onto the
+    baseline.  The plan was checked when built; this checks only what needs the datasets.
+    """
     config = config or GkePipelineConfig()
     needed = {plan.baseline} | {s.source for s in plan.steps} | {s.target for s in plan.steps}
     missing = sorted(n for n in needed if n not in datasets)
     if missing:
         raise PlanError(f"missing datasets: {', '.join(missing)}")
-    ordered = _ordered_steps(plan)
     # Dataset.restrict would drop a covariate the datasets lack without a word,
     # and a score map sends a categorical column's levels to undeclared values.
     for step in plan.steps:
@@ -482,30 +462,26 @@ def equate_chain(plan: ChainPlan, datasets: dict,
                                 "categorical; only binned covariates can be equated")
 
     step_tables: dict = {}
-    step_maps: dict = {}
-    for step in ordered:
-        src_maps = {c: [step_maps[i] for i in ids]
-                    for c, ids in step.equated_covariates.items()}
-        tgt_maps = {c: [step_maps[i] for i in ids]
-                    for c, ids in step.target_equated_covariates.items()}
-        src = _subset_for_step(datasets[step.source], step, src_maps)
-        tgt = _subset_for_step(datasets[step.target], step, tgt_maps)
+    for step in plan.run_order:
+        src, tgt = (
+            _through_maps(datasets[form], {c: [step_tables[i].mapping for i in ids]
+                                           for c, ids in equated.items()})
+            .restrict(step.covariates)
+            for form, equated in ((step.source, step.equated_covariates),
+                                  (step.target, step.target_equated_covariates)))
         method = "EG" if step.design == "eg" else "GKE"
-        table = PipelineSpec(method, config=replace(config, omega=step.omega)).run(src, tgt)
-        step_tables[step.id] = table
-        step_maps[step.id] = table.mapping
+        step_tables[step.id] = PipelineSpec(
+            method, config=replace(config, omega=step.omega)).run(src, tgt)
 
     composed_tables: dict = {}
-    composed_maps: dict = {}
     for step in plan.steps:
         path = plan.path_to_baseline(step.source)
         if not path or path[-1].target != plan.baseline:
             continue  # auxiliary sub-chain; no composition onto the baseline
-        cmap = ComposedMap(tuple(step_maps[s.id] for s in path))
+        cmap = ComposedMap(tuple(step_tables[s.id].mapping for s in path))
         scale = datasets[step.source].scale
-        composed_maps[step.source] = cmap
         composed_tables[step.source] = EquatingTable(
             scale, cmap(scale.points.astype(float)), method="chain",
             diagnostics={"path": [s.id for s in path]}, mapping=cmap,
         )
-    return ChainResult(step_tables, composed_tables, composed_maps)
+    return ChainResult(step_tables, composed_tables)

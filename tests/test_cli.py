@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -243,10 +245,19 @@ def exit_code(argv) -> int:
 
 def test_import_leaves_out_scipy_optimize():
     src = str(Path(keq.__file__).resolve().parents[1])
-    code = "import sys, keq, keq.cli; print('scipy.optimize' in sys.modules)"
+    code = ("import sys, keq, keq.cli; "
+            "print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
+
+
+def test_exported_names_resolve_and_no_package_name_shadows_a_module():
+    for info in pkgutil.iter_modules(keq.__path__):
+        module = importlib.import_module(f"keq.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, f"keq.{info.name}.__all__ names missing {missing}"
+        assert getattr(keq, info.name) is module, f"keq.{info.name} is not the module"
 
 
 class TestCmdSimulate:
@@ -322,7 +333,13 @@ class TestCmdSimulate:
         ({"relationship": "weak"}, "missing 'n'"),
         ({"n": "abc"}, "bad n 'abc'"),
         ([{"n": 800}], "expected a JSON object"),
-    ], ids=["generator-key", "score-range", "pop-p", "no-n", "n", "array"])
+        ({"n": 800, "alpha": True}, "bad alpha True"),
+        ({"n": 800, "generator": {"error_sd": True}}, "bad error_sd True"),
+        ({"n": 800, "covariate_shift": "10"}, "bad covariate_shift '10'"),
+        ({"n": 300.7}, "bad n 300.7"),
+        ({"n": 800, "id": 2.5}, "bad id 2.5"),
+    ], ids=["generator-key", "score-range", "pop-p", "no-n", "n", "array",
+            "alpha-bool", "generator-bool", "shift-string", "n-fraction", "id-fraction"])
     def test_malformed_scenario_config_exits_2(self, tmp_path, capsys, config, named):
         cfg_path = tmp_path / "scenario.json"
         cfg_path.write_text(json.dumps(config), encoding="utf-8")
@@ -441,9 +458,10 @@ class TestCmdChain:
         (lambda plan: plan["covariates"].update(
             nl={"type": "binned", "thresholds": ["low", "high"]}),
          "bad thresholds ['low', 'high']"),
+        (lambda plan: plan["steps"][2].update(omega=True), "step 2: bad omega True"),
     ], ids=["step-covariates", "equated-covariates", "target-equated-covariates",
             "equated-step-id", "categorical-equated", "categorical-target-equated",
-            "no-source", "scale", "datasets-list", "thresholds"])
+            "no-source", "scale", "datasets-list", "thresholds", "omega-bool"])
     def test_malformed_plan_exits_2(self, tmp_path, capsys, edit, named):
         plan_path = write_chain_fixture(tmp_path)
         plan = json.loads(plan_path.read_text(encoding="utf-8"))
@@ -453,6 +471,16 @@ class TestCmdChain:
         assert code == 2
         assert named in one_line_error(capsys)
         assert not (tmp_path / "out").exists()
+
+    def test_plan_is_checked_before_any_csv_is_read(self, tmp_path, capsys):
+        plan_path = write_chain_fixture(tmp_path)
+        plan = json.loads(plan_path.read_text(encoding="utf-8"))
+        plan["steps"][2]["equated_covariates"] = {"school": "nope"}
+        plan["datasets"]["f2018"] = "absent.csv"
+        plan_path.write_text(json.dumps(plan), encoding="utf-8")
+        code = main(["chain", "--plan", str(plan_path), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "references unknown step 'nope'" in one_line_error(capsys)
 
     def test_byte_identical_reruns(self, tmp_path):
         plan_path = write_chain_fixture(tmp_path)

@@ -337,7 +337,37 @@ class TestEquateChain:
                 ChainStep(source="b", target="a"),
             ))
 
-    @pytest.mark.parametrize("omega", [2, -0.1, float("nan"), "0.5"])
+    @pytest.mark.parametrize("steps, named", [
+        ((ChainStep(source="a", target="b"), ChainStep(source="b", target="c"),
+          ChainStep(source="c", target="a")), "cycle in plan"),
+        ((ChainStep(source="a", target="base", design="nec", covariates=("g",),
+                    target_equated_covariates={"g": "nope"}),),
+         "step 'a->base' references unknown step 'nope'"),
+        ((ChainStep(source="a", target="base", design="nec", covariates=("g",),
+                    equated_covariates={"g": "a->base"}),),
+         "cyclic step references involving 'a->base'"),
+        ((ChainStep(source="a", target="base", design="nec", covariates=("g",),
+                    equated_covariates={"g": "b->base"}),
+          ChainStep(source="b", target="base", design="nec", covariates=("g",),
+                    target_equated_covariates={"g": "a->base"})),
+         "cyclic step references involving"),
+    ], ids=["form-cycle", "unknown-reference", "self-reference", "reference-cycle"])
+    def test_malformed_plan_rejected_when_built(self, steps, named):
+        with pytest.raises(PlanError, match=named):
+            ChainPlan("base", steps)
+
+    def test_run_order_puts_referenced_steps_first(self):
+        plan = ChainPlan("base", (
+            ChainStep(source="x", target="base", design="nec", covariates=("g",),
+                      equated_covariates={"g": ("cov-b", "cov-a")}),
+            ChainStep(source="covB", target="covC", id="cov-b"),
+            ChainStep(source="covA", target="covB", id="cov-a"),
+        ))
+        order = [s.id for s in plan.run_order]
+        assert sorted(order) == ["cov-a", "cov-b", "x->base"]
+        assert order[-1] == "x->base"
+
+    @pytest.mark.parametrize("omega", [2, -0.1, float("nan"), "0.5", True])
     def test_step_omega_outside_unit_interval_rejected(self, omega):
         with pytest.raises(PlanError, match="omega"):
             ChainStep(source="a", target="b", design="nec", covariates=("g",),
@@ -361,15 +391,12 @@ class TestEquateChain:
             equate_chain(plan, {"a": synthetic_form(rng, 500)})
 
     def test_unknown_step_reference_rejected(self):
-        plan = ChainPlan("base", (
-            ChainStep(source="a", target="base", design="nec",
-                      covariates=("school",),
-                      equated_covariates={"school": ("nope",)}),
-        ))
-        rng = np.random.default_rng(4)
-        datasets = {"a": synthetic_form(rng, 500), "base": synthetic_form(rng, 500)}
         with pytest.raises(PlanError, match="unknown step"):
-            equate_chain(plan, datasets)
+            ChainPlan("base", (
+                ChainStep(source="a", target="base", design="nec",
+                          covariates=("school",),
+                          equated_covariates={"school": ("nope",)}),
+            ))
 
     def test_equated_covariate_is_transformed_before_tabulation(self):
         # An equating chain where the covariate column of the source is
