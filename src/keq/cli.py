@@ -203,9 +203,11 @@ def build_covariate_space(raw_tables, covariate_names, bins: dict,
 
 
 def _load_datasets(paths: dict, score_column: str, covariate_names: list, bins: dict,
-                   levels: dict | None = None, scale: ScoreScale | None = None) -> dict:
+                   levels: dict | None = None, scale: tuple | None = None) -> dict:
     """Datasets from the person CSVs ``{key: path}`` over one covariate space
-    (see :func:`build_covariate_space`), on ``scale`` or else each on its own range."""
+    (see :func:`build_covariate_space`), on the score scale with bounds
+    ``scale`` or else each on its own range."""
+    scale = ScoreScale(*scale) if scale else None
     raws = {key: read_person_csv(path, score_column=score_column,
                                  covariate_columns=covariate_names)
             for key, path in paths.items()}
@@ -271,7 +273,7 @@ def cmd_equate(args) -> int:
     spec = _input_phase(_pipeline_spec, args)
     p_data, q_data = _input_phase(
         _load_datasets, {"p": args.p, "q": args.q}, args.score, _covariate_names(args),
-        dict(args.bin or ()), scale=ScoreScale(*args.scale) if args.scale else None,
+        dict(args.bin or ()), scale=args.scale,
     ).values()
     if args.bootstrap:
         boot = _input_phase(BootstrapConfig, args.bootstrap, args.seed)
@@ -431,7 +433,7 @@ def load_chain_plan(path):
     return plan, _load_datasets(
         {form: Path(path).parent / str(rel) for form, rel in spec["datasets"].items()},
         spec.get("score_column", "score"), list(cov_spec), bins, levels,
-        ScoreScale(*spec["scale"]) if "scale" in spec else None)
+        spec.get("scale"))
 
 
 def _safe_name(form: str) -> str:

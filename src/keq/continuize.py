@@ -9,11 +9,11 @@ keeps the discrete mean and variance exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core import KeqError, ScoreDistribution, ValidationError
 
@@ -40,6 +40,12 @@ PEN2_OFFSET = 0.25
 # zero: NumPy's exp takes a slow path for each lane that underflows.
 EXP_ZERO = -746.0
 
+# _phi calls math.erfc only where PHI_ZERO < u < PHI_ONE: beyond them the
+# normal CDF is exactly 0.0 or 1.0 (see _Smoothing.terms).
+SQRT2 = math.sqrt(2.0)
+PHI_ONE = 8.3
+PHI_ZERO = -38.5
+
 # inverse_cdf sizes its starting brackets to hold every p in
 # [P_TAIL, 1 - P_TAIL], the range EquatingMap clips source probabilities
 # into; a more extreme p adds bracket points beyond them.  A root is
@@ -51,12 +57,22 @@ RTOL = 8.9e-16
 INVERSE_MAX_ITER = 100
 
 
+def _phi(u: np.ndarray) -> np.ndarray:
+    """Phi(u) = erfc(-u / SQRT2) / 2 for each entry of u, from math.erfc."""
+    phi = np.where(u >= PHI_ONE, 1.0, 0.0)
+    inside = (u > PHI_ZERO) & (u < PHI_ONE)
+    v = (u[inside] / -SQRT2).tolist()
+    phi[inside] = 0.5 * np.fromiter(map(math.erfc, v), float, len(v))
+    return phi
+
+
 class _Smoothing:
     """Gaussian-kernel smoothing of one score distribution, at any bandwidth.
 
     Holds what does not depend on h: the score points, their
     probabilities, the mean and variance, and PEN2's probe points.  A
-    bandwidth search forms it once and evaluates every h against it.
+    bandwidth search forms it once and evaluates every h against it.  Its
+    scratch arrays (see ``_work``) make it unsafe to share between threads.
     """
 
     def __init__(self, dist: ScoreDistribution):
@@ -65,17 +81,35 @@ class _Smoothing:
         self.mu = dist.mean
         self.sigma2 = dist.variance
         self.probes = np.stack([self.points - PEN2_OFFSET, self.points + PEN2_OFFSET])
+        self._scratch = [np.empty(0) for _ in range(3)]
+
+    def _work(self, shape: tuple) -> list:
+        """Arrays of ``shape`` for u, exp's argument and the Gaussian factor,
+        reused from call to call.  A bandwidth search makes some 130 calls
+        on ~160 kB arrays; made afresh, they are faulted in page by page on
+        every call whenever the allocator returns them to the system."""
+        size = math.prod(shape)
+        if self._scratch[0].size < size:
+            self._scratch = [np.empty(size) for _ in range(3)]
+        return [buf[:size].reshape(shape) for buf in self._scratch]
 
     def terms(self, h: float, x, *terms):
         """The asked-for terms at bandwidth h and x (scalar or array), in order.
 
         "cdf" is the CDF, "pdf" the density and "slope" the density's first
         derivative.  All of them rest on u = (x - a*x_j - (1-a)*mu) / (a*h)
-        for every score point j, formed here once.  The Gaussian factor
-        exp(-u**2 / 2) of "pdf" and "slope" is formed once too, and is set
-        to exactly 0.0 without calling exp where -u**2 / 2 <= EXP_ZERO,
-        which is what exp returns there: every entry, and so every result,
-        has the same bits as exp over the whole array.
+        for every score point j, formed here once.
+
+        "cdf" sums Phi(u) = erfc(-u / sqrt 2) / 2 weighted by the score
+        probabilities.  ``_phi`` calls math.erfc only where
+        PHI_ZERO < u < PHI_ONE.  Beyond those cut-offs the formula rounds
+        to exactly 1.0 (from u ~ 8.2924 up) or underflows to exactly 0.0
+        (from u ~ -38.4754 down), and ``_phi`` sets those values, so every
+        entry has the formula's bits.  The Gaussian factor exp(-u**2 / 2)
+        of "pdf" and "slope" is formed once too, and is set to exactly 0.0
+        without calling exp where -u**2 / 2 <= EXP_ZERO, which is what exp
+        returns there: again every entry, and so every result, has the same
+        bits as exp over the whole array.
         """
         scalar = np.ndim(x) == 0
         x = np.asarray(x, dtype=float)
@@ -83,20 +117,27 @@ class _Smoothing:
             raise ValidationError("non-finite evaluation point")
         a = float(np.sqrt(self.sigma2 / (self.sigma2 + h**2)))
         ah = a * h
-        u = (x[..., None] - a * self.points - (1.0 - a) * self.mu) / ah
+        u, arg, gauss = self._work((*x.shape, self.points.size))
+        np.subtract(x[..., None], a * self.points, out=u)
+        u -= (1.0 - a) * self.mu
+        u /= ah
         if "pdf" in terms or "slope" in terms:
-            arg = -0.5 * u**2
-            gauss = np.exp(arg, out=np.zeros_like(arg), where=arg > EXP_ZERO)
+            np.multiply(u, u, out=arg)
+            arg *= -0.5
+            gauss.fill(0.0)
+            np.exp(arg, out=gauss, where=arg > EXP_ZERO)
         out = []
         for term in terms:
             if term == "cdf":
                 # A row sum, not a matrix product: BLAS rounds a row differently
                 # depending on where it sits in the batch, and the inverse must not.
-                value = (ndtr(u) * self.probs).sum(axis=-1)
+                value = (_phi(u) * self.probs).sum(axis=-1)
             elif term == "pdf":
                 value = (gauss @ self.probs) * INV_SQRT_2PI / ah
             else:  # "slope"
-                value = ((-u * gauss) @ self.probs) * INV_SQRT_2PI / ah**2
+                np.negative(u, out=arg)
+                arg *= gauss
+                value = (arg @ self.probs) * INV_SQRT_2PI / ah**2
             out.append(float(value) if scalar else value)
         return out
 

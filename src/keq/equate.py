@@ -235,7 +235,10 @@ def equate_covariate(p_data: Dataset, q_data: Dataset, covariate: str,
 
     The nested run's mixture weight is the complement of the main run's
     (the source role is played by the second population), which under the
-    sample-size default is simply n_second / (n_first + n_second).
+    sample-size default is simply n_second / (n_first + n_second).  It
+    selects its own bandwidths: ``config.bandwidth_x`` and
+    ``config.bandwidth_y`` belong to the main score scale and are not
+    passed on.
     """
     config = config or GkePipelineConfig()
     for data, label in ((p_data, "first"), (q_data, "second")):
@@ -262,7 +265,7 @@ def equate_covariate(p_data: Dataset, q_data: Dataset, covariate: str,
     # Roles swap: the second population is the source of the covariate map.
     omega_cov = (1.0 - config.omega) if config.omega is not None else None
     nested = NecInput.from_datasets(q_sub, p_sub, omega=omega_cov)
-    table = equate_gke(nested, config)
+    table = equate_gke(nested, replace(config, bandwidth_x=None, bandwidth_y=None))
     return table, _through_maps(q_data, {covariate: (table.mapping,)})
 
 
@@ -344,7 +347,8 @@ class ChainStep:
     ``equated_covariates`` maps a covariate column name to the step ids
     whose maps are composed (in order) and applied to that column of the
     source dataset before tabulation; ``target_equated_covariates`` does
-    the same for the target dataset.
+    the same for the target dataset.  Either may name only covariates
+    in ``covariates``.
     """
 
     source: str
@@ -357,24 +361,27 @@ class ChainStep:
     id: str | None = None
 
     def __post_init__(self):
+        if self.id is None:
+            object.__setattr__(self, "id", f"{self.source}->{self.target}")
         if self.design not in ("eg", "nec"):
             raise PlanError(f"unknown design {self.design!r} (expected eg or nec)")
         if self.design == "nec" and not self.covariates:
-            raise PlanError(f"step {self.source}->{self.target}: nec needs covariates")
+            raise PlanError(f"step {self.id!r}: nec needs covariates")
         # A bool is an int to isinstance, but true is not a mixture weight.
         if self.omega is not None and (isinstance(self.omega, bool) or not (
                 isinstance(self.omega, (int, float)) and 0.0 <= self.omega <= 1.0)):
-            raise PlanError(
-                f"step {self.source}->{self.target}: omega {self.omega!r} outside [0, 1]"
-            )
+            raise PlanError(f"step {self.id!r}: omega {self.omega!r} outside [0, 1]")
         object.__setattr__(self, "covariates", tuple(self.covariates))
         for attr in ("equated_covariates", "target_equated_covariates"):
             raw = getattr(self, attr)
             norm = {c: tuple(ids) if isinstance(ids, (list, tuple)) else (ids,)
                     for c, ids in raw.items()}
+            # Dataset.restrict would drop a covariate the step does not use.
+            unused = [c for c in norm if c not in self.covariates]
+            if unused:
+                raise PlanError(f"step {self.id!r}: {attr} names {unused[0]!r}, "
+                                "which is not one of its covariates")
             object.__setattr__(self, attr, norm)
-        if self.id is None:
-            object.__setattr__(self, "id", f"{self.source}->{self.target}")
 
 
 def _topological(graph: dict, what: str) -> tuple:
@@ -453,7 +460,7 @@ def equate_chain(plan: ChainPlan, datasets: dict,
         for form, equated in ((step.source, step.equated_covariates),
                               (step.target, step.target_equated_covariates)):
             variables = {v.name: v for v in datasets[form].covariates.variables}
-            unknown = [name for name in (*step.covariates, *equated) if name not in variables]
+            unknown = [name for name in step.covariates if name not in variables]
             if unknown:
                 raise PlanError(f"step {step.id!r}: {form!r} has no covariate {unknown[0]!r}")
             categorical = [name for name in equated if not isinstance(variables[name], Binned)]

@@ -178,6 +178,13 @@ class TestCmdEquate:
         assert exit_code(argv) == 2
         assert f"argument {flags[0]}: expected" in capsys.readouterr().err
 
+    def test_empty_score_scale_flag_exits_2(self, person_files, tmp_path, capsys):
+        p_path, q_path = person_files
+        code = main(["equate", "--design", "eg", "--p", str(p_path), "--q", str(q_path),
+                     "--scale", "5,3", "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "error: empty score scale [5, 3]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags, named", [
         (["--design", "eg", *NEC_FLAGS, "--sequential",
           "--equate-covariate", "other_score"], "--sequential"),
@@ -243,13 +250,17 @@ def exit_code(argv) -> int:
         return exc.code
 
 
-def test_import_leaves_out_scipy_optimize():
+def test_import_and_equate_run_load_no_scipy(person_files, tmp_path):
     src = str(Path(keq.__file__).resolve().parents[1])
+    p_path, q_path = person_files
+    argv = ["equate", "--design", "nec", "--p", str(p_path), "--q", str(q_path),
+            *NEC_FLAGS, "--out", str(tmp_path / "o.csv")]
     code = ("import sys, keq, keq.cli; "
-            "print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)")
+            f"assert keq.cli.main({argv!r}) == 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert proc.stdout.strip() == "False False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_exported_names_resolve_and_no_package_name_shadows_a_module():
@@ -440,10 +451,10 @@ class TestCmdChain:
         (lambda plan: plan["steps"][2].update(covariates=["nosuch"]),
          "'f2017' has no covariate 'nosuch'"),
         (lambda plan: plan["steps"][2].update(equated_covariates={"nosuch": "s2018->s2017"}),
-         "'f2017' has no covariate 'nosuch'"),
+         "step 'f2017->s2017': equated_covariates names 'nosuch', which is not one of"),
         (lambda plan: plan["steps"][2].update(
             target_equated_covariates={"nosuch": "s2018->s2017"}),
-         "'s2017' has no covariate 'nosuch'"),
+         "step 'f2017->s2017': target_equated_covariates names 'nosuch', which is not"),
         (lambda plan: plan["steps"][2].update(equated_covariates={"school": 5}),
          "references unknown step 5"),
         (lambda plan: plan["steps"][2].update(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 from scipy.stats import binom, norm
 
 from keq.core import EquatingTable, ScoreDistribution, ScoreScale, ValidationError, substream
@@ -16,9 +17,13 @@ from keq.continuize import (
     H_MIN,
     INV_SQRT_2PI,
     P_TAIL,
+    PHI_ONE,
+    PHI_ZERO,
+    SQRT2,
     ContinuizedCdf,
     _Smoothing,
     _kernel,
+    _phi,
     continuize,
     inverse_cdf,
     kernel_cdf,
@@ -79,14 +84,20 @@ def eager_search(dist, kpen):
     return h, values
 
 
+def unmasked_phi(u):
+    """Phi(u) = erfc(-u / sqrt 2) / 2 with math.erfc called on every entry."""
+    return np.array([0.5 * math.erfc(-v / SQRT2) for v in np.ravel(u)]).reshape(np.shape(u))
+
+
 def unmasked_terms(dist, h, x):
-    """Density and slope at x with exp taken over every kernel entry."""
+    """Density, slope and CDF at x with exp and erfc taken over every kernel entry."""
     a = float(np.sqrt(dist.variance / (dist.variance + h**2)))
     ah = a * h
     u = (x[..., None] - a * dist.scale.points.astype(float) - (1.0 - a) * dist.mean) / ah
     gauss = np.exp(-0.5 * u**2)
     return ((gauss @ dist.probs) * INV_SQRT_2PI / ah,
-            ((-u * gauss) @ dist.probs) * INV_SQRT_2PI / ah**2)
+            ((-u * gauss) @ dist.probs) * INV_SQRT_2PI / ah**2,
+            (unmasked_phi(u) * dist.probs).sum(axis=-1))
 
 
 def scalar_cdf_oracle(dist, h, x):
@@ -349,15 +360,69 @@ class TestExactZeros:
         c = ContinuizedCdf(dist, h)
         points = dist.scale.points.astype(float)
         x = np.concatenate([points, np.linspace(-30.0, 90.0, 241)])
-        pdf, slope = unmasked_terms(dist, h, x)
+        pdf, slope, cdf = unmasked_terms(dist, h, x)
         assert np.array_equal(kernel_pdf(c, x), pdf)
         assert np.array_equal(_kernel(c, x, "pdf", "slope")[1], slope)
+        assert np.array_equal(kernel_cdf(c, x), cdf)
+        assert kernel_cdf(c, 17.0) == unmasked_terms(dist, h, np.array(17.0))[2]
         assert kernel_pdf(c, 17.0) == unmasked_terms(dist, h, np.array(17.0))[0]
         left, right = unmasked_terms(dist, h, np.stack([points - 0.25, points + 0.25]))[1]
         pen1 = float(np.sum((dist.probs - unmasked_terms(dist, h, points)[0]) ** 2))
         pen2 = float(np.sum((left < 0.0) & ~(right > 0.0)))
         for kpen in (0.0, 0.5, 1.0):
             assert penalty(dist, h, kpen) == (pen1 + kpen * pen2 if kpen else pen1)
+
+    def test_terms_outlive_reused_scratch_arrays(self):
+        c = ContinuizedCdf(binomial_dist(20, 0.4), 0.6)
+        x = np.linspace(-2.0, 22.0, 50)
+        first = _kernel(c, x, "cdf", "pdf", "slope")
+        kept = [v.copy() for v in first]
+        _kernel(c, np.linspace(0.0, 20.0, 400), "slope", "cdf")  # grows the arrays
+        _kernel(c, 3.0, "pdf")  # and uses a prefix of them
+        for value, copy in zip(first, kept):
+            assert np.array_equal(value, copy)
+        for value, again in zip(first, _kernel(c, x, "cdf", "pdf", "slope")):
+            assert np.array_equal(value, again)
+
+
+class TestNormalCdf:
+    # A dense scan puts the formula's last value below 1.0 at u ~ 8.292361
+    # and its first value above 0.0 at u ~ -38.475366.
+    ONE_FROM, ZERO_TO = 8.29237, -38.47537
+
+    def test_formula_is_exact_at_and_beyond_the_cutoffs(self):
+        ones = np.concatenate([np.linspace(self.ONE_FROM, PHI_ONE, 200_001),
+                               np.linspace(PHI_ONE, 40.0, 200_001), [1e3, 1e300]])
+        zeros = np.concatenate([np.linspace(PHI_ZERO, self.ZERO_TO, 200_001),
+                                np.linspace(-200.0, PHI_ZERO, 200_001), [-1e3, -1e300]])
+        assert np.all(unmasked_phi(ones) == 1.0)
+        assert np.all(unmasked_phi(zeros) == 0.0)
+        assert not np.any(np.signbit(unmasked_phi(zeros)))
+        assert unmasked_phi(np.array([self.ONE_FROM - 1e-5]))[0] < 1.0
+        assert unmasked_phi(np.array([self.ZERO_TO + 1e-5]))[0] > 0.0
+
+    def test_masked_equals_unmasked_formula(self):
+        cut = np.array([PHI_ZERO, PHI_ONE])
+        near = np.concatenate([cut, np.nextafter(cut, -np.inf), np.nextafter(cut, np.inf)])
+        u = np.concatenate([near, np.linspace(-60.0, 20.0, 100_003),
+                            np.linspace(PHI_ZERO - 1.0, PHI_ZERO + 1.0, 20_001),
+                            np.linspace(PHI_ONE - 1.0, PHI_ONE + 1.0, 20_001)])
+        for args in (u, u[1::3], u[::-1].copy(), u[:-1].reshape(-1, 2)[:, ::-1]):
+            phi = _phi(args)
+            assert phi.shape == args.shape
+            assert np.array_equal(phi, unmasked_phi(args))
+            assert not np.any(np.signbit(phi))
+
+    def test_agrees_with_scipy_ndtr(self):
+        u = np.linspace(-45.0, 45.0, 900_001)
+        phi = _phi(u)
+        assert np.max(np.abs(phi - ndtr(u))) <= 2.3e-16
+        # Rounding u / sqrt 2 moves erfc by about u**2 ulps relative, in both;
+        # against a 200-bit reference, _phi's error on [-20, PHI_ONE] stays
+        # within 1.04 (1 + u**2) eps and ndtr's within 1.87 (1 + u**2) eps.
+        inner = u[(u >= -20.0) & (u <= PHI_ONE)]
+        rel = np.abs(_phi(inner) / ndtr(inner) - 1.0)
+        assert np.all(rel <= 4.0 * (1.0 + inner**2) * np.finfo(float).eps)
 
 
 class TestInverseCdf:

@@ -14,6 +14,7 @@ from keq.core import (
     ScoreScale,
     ValidationError,
     discretize,
+    substream,
 )
 from keq.equate import (
     ChainPlan,
@@ -224,6 +225,18 @@ class TestEquateSequential:
         given_map = equate_sequential(p_data, q_data, OTHER_SCORE, covariate_map=lambda v: v)
         assert "presmooth" not in given_map.diagnostics["covariate_equating"]
 
+    def test_explicit_bandwidths_stay_out_of_the_covariate_run(self):
+        sc = ScenarioSpec.from_table(5)
+        p_data = gen_population("P", sc, seed=substream(0, 0, 0))
+        q_data = gen_population("Q", sc, seed=substream(0, 0, 1))
+        fixed = GkePipelineConfig(bandwidth_x=0.6, bandwidth_y=0.6)
+        default, _ = equate_covariate(p_data, q_data, OTHER_SCORE)
+        nested, _ = equate_covariate(p_data, q_data, OTHER_SCORE, config=fixed)
+        for key in ("h_x", "h_y"):
+            assert nested.diagnostics[key] == default.diagnostics[key] != 0.6
+        table = equate_sequential(p_data, q_data, OTHER_SCORE, config=fixed)
+        assert (table.diagnostics["h_x"], table.diagnostics["h_y"]) == (0.6, 0.6)
+
     def test_scenario5_sequential_is_less_biased(self):
         p_data, q_data = scenario_pair(5, 50_000, seed=4)
         idx = np.arange(101.0)
@@ -355,6 +368,14 @@ class TestEquateChain:
     def test_malformed_plan_rejected_when_built(self, steps, named):
         with pytest.raises(PlanError, match=named):
             ChainPlan("base", steps)
+
+    @pytest.mark.parametrize("attr", ["equated_covariates", "target_equated_covariates"])
+    def test_equated_covariate_outside_step_covariates_rejected(self, attr):
+        with pytest.raises(PlanError, match=f"step 'x': {attr} names 'other', which is not"):
+            ChainStep(source="a", target="b", id="x", **{attr: {"other": "align-y"}})
+        with pytest.raises(PlanError, match=f"{attr} names 'other'"):
+            ChainStep(source="a", target="b", design="nec", covariates=("g",),
+                      **{attr: {"g": "align-y", "other": "align-y"}})
 
     def test_run_order_puts_referenced_steps_first(self):
         plan = ChainPlan("base", (
