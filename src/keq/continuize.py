@@ -9,6 +9,7 @@ keeps the discrete mean and variance exactly.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,9 +37,20 @@ H_MAX_SD_FACTOR = 4.0
 PEN2_OFFSET = 0.25
 
 # np.exp(t) is exactly 0.0 for every t <= EXP_ZERO (it underflows below
-# about -745.13), so the Gaussian factor skips those lanes and leaves them
-# zero: NumPy's exp takes a slow path for each lane that underflows.
+# about -745.13), and below DBL_MIN, a subnormal, for every t <= EXP_NORMAL
+# (the float just below ln DBL_MIN).  NumPy's exp takes a slow path for
+# each lane whose result is subnormal or zero, so the Gaussian factor calls
+# it only above EXP_NORMAL and leaves the other lanes zero; a call whose
+# density or slope sums come out below GAUSS_SUM_MIN, where the dropped
+# subnormals could show, fills them in and sums again (see _Smoothing.terms).
 EXP_ZERO = -746.0
+EXP_NORMAL = -708.3964185322642
+GAUSS_SUM_MIN = 2.0**-800
+
+# The bandwidth grid's PEN1 floors give up this fraction of themselves, and
+# of the quantities they rest on, to cover the rounding of PEN1's own sums
+# (see _Smoothing.pen1_floors).
+FLOOR_SLACK = 1e-6
 
 # _phi calls math.erfc only where PHI_ZERO < u < PHI_ONE: beyond them the
 # normal CDF is exactly 0.0 or 1.0 (see _Smoothing.terms).
@@ -105,11 +117,23 @@ class _Smoothing:
         PHI_ZERO < u < PHI_ONE.  Beyond those cut-offs the formula rounds
         to exactly 1.0 (from u ~ 8.2924 up) or underflows to exactly 0.0
         (from u ~ -38.4754 down), and ``_phi`` sets those values, so every
-        entry has the formula's bits.  The Gaussian factor exp(-u**2 / 2)
-        of "pdf" and "slope" is formed once too, and is set to exactly 0.0
-        without calling exp where -u**2 / 2 <= EXP_ZERO, which is what exp
-        returns there: again every entry, and so every result, has the same
-        bits as exp over the whole array.
+        entry has the formula's bits.
+
+        "pdf" and "slope" sum p_j g_j and -p_j u_j g_j over the score
+        points, with the Gaussian factor g = exp(-u**2 / 2) formed once.
+        exp is called only where -u**2 / 2 > EXP_NORMAL, so g is zero
+        wherever exp would give a subnormal or zero.  That leaves every
+        sum unchanged once it reaches GAUSS_SUM_MIN = 2**-800:
+        a dropped term is below 39 * DBL_MIN = 39 * 2**-1022 in magnitude
+        (|u| < 39 there), so all of them together are below 2**-990, far
+        less than half an ulp (at least 2**-853) of such a sum, which
+        rounds to the same value with or without them.  In a call where a
+        density or slope sum is below 2**-800 (a density far out in a tail,
+        a slope that cancels to zero) the subnormals could show, so exp
+        fills in the lanes where EXP_ZERO < -u**2 / 2 <= EXP_NORMAL and,
+        if there were any, the sums are taken again (``_with_subnormals``).
+        Zero is then left only where exp gives exactly 0.0.  Either way
+        every result has the same bits as exp over the whole array.
         """
         scalar = np.ndim(x) == 0
         x = np.asarray(x, dtype=float)
@@ -121,11 +145,15 @@ class _Smoothing:
         np.subtract(x[..., None], a * self.points, out=u)
         u -= (1.0 - a) * self.mu
         u /= ah
+        sums = {}
         if "pdf" in terms or "slope" in terms:
             np.multiply(u, u, out=arg)
             arg *= -0.5
             gauss.fill(0.0)
-            np.exp(arg, out=gauss, where=arg > EXP_ZERO)
+            np.exp(arg, out=gauss, where=arg > EXP_NORMAL)
+            sums = self._gauss_sums(u, arg, gauss, terms)
+            if any(np.any(np.abs(v) < GAUSS_SUM_MIN) for v in sums.values()):
+                sums = self._with_subnormals(u, arg, gauss, terms, sums)
         out = []
         for term in terms:
             if term == "cdf":
@@ -133,17 +161,60 @@ class _Smoothing:
                 # depending on where it sits in the batch, and the inverse must not.
                 value = (_phi(u) * self.probs).sum(axis=-1)
             elif term == "pdf":
-                value = (gauss @ self.probs) * INV_SQRT_2PI / ah
+                value = sums["pdf"] * INV_SQRT_2PI / ah
             else:  # "slope"
-                np.negative(u, out=arg)
-                arg *= gauss
-                value = (arg @ self.probs) * INV_SQRT_2PI / ah**2
+                value = sums["slope"] * INV_SQRT_2PI / ah**2
             out.append(float(value) if scalar else value)
         return out
+
+    def _gauss_sums(self, u, scratch, gauss, terms) -> dict:
+        """sum_j p_j g_j for "pdf" and -sum_j p_j u_j g_j for "slope", if
+        asked for in ``terms``, with the Gaussian factor g in ``gauss``."""
+        sums = {}
+        if "pdf" in terms:
+            sums["pdf"] = gauss @ self.probs
+        if "slope" in terms:
+            np.negative(u, out=scratch)
+            scratch *= gauss
+            sums["slope"] = scratch @ self.probs
+        return sums
+
+    def _with_subnormals(self, u, arg, gauss, terms, sums: dict) -> dict:
+        """``sums`` taken again once ``gauss`` holds the subnormal values of
+        exp(-u**2 / 2), where EXP_ZERO < -u**2 / 2 <= EXP_NORMAL; ``sums``
+        itself when there are none."""
+        np.multiply(u, u, out=arg)
+        arg *= -0.5
+        flat_arg, flat_gauss = arg.reshape(-1), gauss.reshape(-1)
+        band = np.flatnonzero((flat_arg > EXP_ZERO) & (flat_arg <= EXP_NORMAL))
+        if band.size == 0:
+            return sums
+        flat_gauss[band] = np.exp(flat_arg[band])
+        return self._gauss_sums(u, arg, gauss, terms)
 
     def pen1(self, h: float) -> float:
         """Squared gap between the score probabilities and the density."""
         return float(np.sum((self.probs - self.terms(h, self.points, "pdf")[0]) ** 2))
+
+    def pen1_floors(self, hs: np.ndarray) -> np.ndarray:
+        """A lower bound of ``pen1(h)`` for each h in ``hs``, from O(J) work each.
+
+        With c = 1 / (sqrt(2 pi) a h) the kernel's peak, no density value
+        f_i exceeds c (the probabilities sum to one), so PEN1 is at least
+        sum_i max(p_i - c, 0)**2.  And f_i is at least its own point's term
+        p_i phi(u_ii) / (a h), whose sum over i is L, so by Cauchy-Schwarz
+        PEN1 >= (sum_i f_i - 1)**2 / J >= max(L - 1, 0)**2 / J.  The larger
+        bound is returned.  FLOOR_SLACK raises c and lowers L and the
+        returned bound, to cover the rounding of PEN1's own sums.
+        """
+        hs = np.asarray(hs, dtype=float)[:, None]
+        a = np.sqrt(self.sigma2 / (self.sigma2 + hs**2))
+        peak = INV_SQRT_2PI / (a * hs)
+        u = (1.0 - a) * (self.points - self.mu) / (a * hs)
+        own = (np.exp(-0.5 * u**2) * peak) @ self.probs
+        sum_bound = np.maximum((1.0 - FLOOR_SLACK) * own - 1.0, 0.0) ** 2 / self.probs.size
+        peak_bound = (np.maximum(self.probs - (1.0 + FLOOR_SLACK) * peak, 0.0) ** 2).sum(axis=1)
+        return (1.0 - FLOOR_SLACK) * np.maximum(sum_bound, peak_bound)
 
     def pen2(self, h: float) -> float:
         """Score points where the density slopes down a quarter point to the
@@ -223,15 +294,20 @@ def select_bandwidth(dist: ScoreDistribution, kpen: float = 1.0) -> float:
     A 64-point log-spaced grid locates the basin; golden-section search
     refines within the bracketing grid neighbors.  Deterministic.
 
-    PEN2 is computed only where it can change the result, on the grid and
-    in the refinement (see ``_golden_section``).  PEN2 and kpen are
-    nonnegative and rounding is monotone, so no penalty is below its PEN1
-    (which is never NaN).  With PEN1 at every grid point, the points are
-    visited in ascending (PEN1, index) order, each adding its PEN2, until
-    the next PEN1 exceeds the best penalty so far or equals it at a larger
-    index.  The grid point kept is the one ``np.argmin`` picks over all 64
-    penalties (the first on ties), so the result equals that of the search
-    that computes every penalty in full.
+    PEN1 and PEN2 are computed only where they can change the result, on
+    the grid and in the refinement (see ``_golden_section``).  PEN2 and
+    kpen are nonnegative and rounding is monotone, so no penalty is below
+    its PEN1 (which is never NaN), and no PEN1 is below its floor
+    (``_Smoothing.pen1_floors``).  The grid points are visited best-first
+    from a heap keyed by (floor, index) until a point's PEN1 is computed,
+    and by (PEN1, index) from then on: a point popped at its floor gets
+    its PEN1 and goes back in, and a point popped at its PEN1 adds its
+    PEN2.  A point's floor pops before its PEN1 would, so the PEN1s pop in
+    ascending (PEN1, index) order.  The search stops once the popped key
+    exceeds the best penalty so far or equals it at a larger index; every
+    point left has no smaller penalty.  The grid point kept is the one
+    ``np.argmin`` picks over all 64 penalties (the first on ties), so the
+    result equals that of the search that computes every penalty in full.
     """
     if dist.variance <= 0 or np.count_nonzero(dist.probs) < 2:
         raise ValidationError("bandwidth undefined for point mass")
@@ -240,12 +316,17 @@ def select_bandwidth(dist: ScoreDistribution, kpen: float = 1.0) -> float:
     smoothing = _Smoothing(dist)
     h_max = H_MAX_SD_FACTOR * float(np.sqrt(smoothing.sigma2))
     grid = np.geomspace(H_MIN, max(h_max, H_MIN * 1.01), num=64)
-    pen1 = [smoothing.pen1(h) for h in grid]
+    heap = [(float(floor), i) for i, floor in enumerate(smoothing.pen1_floors(grid))]
+    heapq.heapify(heap)
+    exact = [False] * len(grid)
     best, value = len(grid), np.inf
-    for i in sorted(range(len(grid)), key=lambda i: (pen1[i], i)):
-        if (pen1[i], i) > (value, best):
-            break
-        total = smoothing.penalty(grid[i], kpen, pen1[i])
+    while heap and heap[0] <= (value, best):
+        key, i = heapq.heappop(heap)
+        if not exact[i]:  # key is the floor
+            exact[i] = True
+            heapq.heappush(heap, (smoothing.pen1(grid[i]), i))
+            continue
+        total = smoothing.penalty(grid[i], kpen, key)
         if (total, i) < (value, best):
             best, value = i, total
     lo = grid[max(best - 1, 0)]

@@ -348,7 +348,7 @@ class ChainStep:
     whose maps are composed (in order) and applied to that column of the
     source dataset before tabulation; ``target_equated_covariates`` does
     the same for the target dataset.  Either may name only covariates
-    in ``covariates``.
+    in ``covariates``, each with at least one step id.
     """
 
     source: str
@@ -381,6 +381,10 @@ class ChainStep:
             if unused:
                 raise PlanError(f"step {self.id!r}: {attr} names {unused[0]!r}, "
                                 "which is not one of its covariates")
+            # No step ids would apply no map: the request would do nothing.
+            empty = [c for c, ids in norm.items() if not ids]
+            if empty:
+                raise PlanError(f"step {self.id!r}: {attr} gives {empty[0]!r} no step ids")
             object.__setattr__(self, attr, norm)
 
 

@@ -470,9 +470,12 @@ class TestCmdChain:
             nl={"type": "binned", "thresholds": ["low", "high"]}),
          "bad thresholds ['low', 'high']"),
         (lambda plan: plan["steps"][2].update(omega=True), "step 2: bad omega True"),
+        (lambda plan: plan["steps"][2].update(equated_covariates={"school": []}),
+         "step 'f2017->s2017': equated_covariates gives 'school' no step ids"),
     ], ids=["step-covariates", "equated-covariates", "target-equated-covariates",
             "equated-step-id", "categorical-equated", "categorical-target-equated",
-            "no-source", "scale", "datasets-list", "thresholds", "omega-bool"])
+            "no-source", "scale", "datasets-list", "thresholds", "omega-bool",
+            "empty-step-ids"])
     def test_malformed_plan_exits_2(self, tmp_path, capsys, edit, named):
         plan_path = write_chain_fixture(tmp_path)
         plan = json.loads(plan_path.read_text(encoding="utf-8"))

@@ -12,6 +12,7 @@ from scipy.stats import binom, norm
 
 from keq.core import EquatingTable, ScoreDistribution, ScoreScale, ValidationError, substream
 from keq.continuize import (
+    EXP_NORMAL,
     EXP_ZERO,
     H_MAX_SD_FACTOR,
     H_MIN,
@@ -31,8 +32,8 @@ from keq.continuize import (
     penalty,
     select_bandwidth,
 )
-from keq.equate import EquatingMap, GkePipelineConfig, NecInput, _target_probs
-from keq.simulate import ScenarioSpec, gen_population
+from keq.equate import EquatingMap, GkePipelineConfig, NecInput, PipelineSpec, _target_probs
+from keq.simulate import OTHER_SCORE, ScenarioSpec, gen_population
 
 
 def binomial_dist(n, p):
@@ -70,12 +71,17 @@ def eager_golden_section(f, lo, hi, best, tol=1e-7):
     return best[0]
 
 
+def bandwidth_grid(dist):
+    """The 64 grid bandwidths ``select_bandwidth`` starts from."""
+    h_max = H_MAX_SD_FACTOR * math.sqrt(dist.variance)
+    return np.geomspace(H_MIN, max(h_max, H_MIN * 1.01), num=64)
+
+
 def eager_search(dist, kpen):
     """Bandwidth search with every penalty computed in full: ``np.argmin``
     over the grid, then golden-section refinement.  The reference for
     ``select_bandwidth``; returns the bandwidth and the grid penalties."""
-    h_max = H_MAX_SD_FACTOR * math.sqrt(dist.variance)
-    grid = np.geomspace(H_MIN, max(h_max, H_MIN * 1.01), num=64)
+    grid = bandwidth_grid(dist)
     values = [penalty(dist, h, kpen) for h in grid]
     best = int(np.argmin(values))
     lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
@@ -89,15 +95,41 @@ def unmasked_phi(u):
     return np.array([0.5 * math.erfc(-v / SQRT2) for v in np.ravel(u)]).reshape(np.shape(u))
 
 
-def unmasked_terms(dist, h, x):
-    """Density, slope and CDF at x with exp and erfc taken over every kernel entry."""
+def unmasked_terms(dist, h, x, cdf=True):
+    """Density, slope and (if ``cdf``) CDF at x with exp and erfc taken over
+    every kernel entry."""
     a = float(np.sqrt(dist.variance / (dist.variance + h**2)))
     ah = a * h
     u = (x[..., None] - a * dist.scale.points.astype(float) - (1.0 - a) * dist.mean) / ah
     gauss = np.exp(-0.5 * u**2)
-    return ((gauss @ dist.probs) * INV_SQRT_2PI / ah,
-            ((-u * gauss) @ dist.probs) * INV_SQRT_2PI / ah**2,
-            (unmasked_phi(u) * dist.probs).sum(axis=-1))
+    pdf = (gauss @ dist.probs) * INV_SQRT_2PI / ah
+    slope = ((-u * gauss) @ dist.probs) * INV_SQRT_2PI / ah**2
+    return (pdf, slope, (unmasked_phi(u) * dist.probs).sum(axis=-1)) if cdf else (pdf, slope)
+
+
+def unmasked_penalty(dist, h, kpen):
+    """PEN1 + kpen * PEN2 from ``unmasked_terms``."""
+    points = dist.scale.points.astype(float)
+    pdf = unmasked_terms(dist, h, points, cdf=False)[0]
+    left, right = unmasked_terms(dist, h, np.stack([points - 0.25, points + 0.25]),
+                                 cdf=False)[1]
+    pen1 = float(np.sum((dist.probs - pdf) ** 2))
+    return pen1 + kpen * float(np.sum((left < 0.0) & ~(right > 0.0))) if kpen else pen1
+
+
+def subnormal_redos():
+    """A spy on ``_Smoothing._with_subnormals``, the kernel's rare redo."""
+    return patch.object(_Smoothing, "_with_subnormals", autospec=True,
+                        side_effect=_Smoothing._with_subnormals)
+
+
+def scenario_targets(scenario_id, reps=3):
+    """r and s of replications 0..reps-1 at seed 0, as the simulation draws them."""
+    scenario = ScenarioSpec.from_table(scenario_id)
+    for rep in range(reps):
+        p, q = (gen_population(pop, scenario, seed=substream(0, rep, key))
+                for key, pop in enumerate("PQ"))
+        yield from _target_probs(NecInput.from_datasets(p, q), GkePipelineConfig())[:2]
 
 
 def scalar_cdf_oracle(dist, h, x):
@@ -129,20 +161,24 @@ def continuized(draw):
 
 @st.composite
 def grid_penalties(draw):
-    """PEN1 and PEN2 on the 64 bandwidth grid points and between them.
+    """PEN1, its floor and PEN2 on the 64 bandwidth grid points, and PEN1
+    and PEN2 between them.
 
     On the grid, PEN1 is high but at a few points, anywhere on the grid,
-    whose penalties often tie; PEN2 is anything.  Between grid points PEN1
-    steps through four small integers per grid cell and PEN2 is picked by
-    the low bits of h, so the refinement's new points often tie the PEN1,
-    or the full penalty, of the point it keeps."""
+    whose penalties often tie; its floor is 0, a fraction of it or PEN1
+    itself; PEN2 is anything.  Between grid points PEN1 steps through four
+    small integers per grid cell and PEN2 is picked by the low bits of h,
+    so the refinement's new points often tie the PEN1, or the full
+    penalty, of the point it keeps."""
     pen1 = np.full(64, 8.0)
     low = draw(st.lists(st.integers(0, 63), min_size=1, max_size=6, unique=True))
     pen1[low] = draw(st.lists(st.integers(0, 2), min_size=len(low), max_size=len(low)))
+    fractions = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.999, 1.0]),
+                              min_size=64, max_size=64))
     pen2 = np.array(draw(st.lists(st.integers(0, 3), min_size=64, max_size=64)))
     between1 = np.array(draw(st.lists(st.integers(0, 3), min_size=4, max_size=4)))
     between2 = np.array(draw(st.lists(st.integers(0, 3), min_size=8, max_size=8)))
-    return pen1, pen2, between1, between2
+    return pen1, np.array(fractions) * pen1, pen2, between1, between2
 
 
 def tied_grid_penalties():
@@ -150,14 +186,14 @@ def tied_grid_penalties():
     larger PEN1, so the search visits it second and must still keep it."""
     pen1, pen2 = np.full(64, 8.0), np.zeros(64)
     pen1[10], pen1[20], pen2[20] = 1.0, 0.0, 1.0
-    return pen1, pen2, np.full(4, 8), np.zeros(8, dtype=int)
+    return pen1, pen1.copy(), pen2, np.full(4, 8), np.zeros(8, dtype=int)
 
 
 def patched_penalties(dist, penalties):
-    """``_Smoothing.pen1`` and ``pen2`` replaced by ``grid_penalties``'
-    values on the bandwidth grid of ``dist``."""
-    pen1, pen2, between1, between2 = penalties
-    grid = np.geomspace(H_MIN, H_MAX_SD_FACTOR * math.sqrt(dist.variance), 64)
+    """``_Smoothing.pen1``, ``pen1_floors`` and ``pen2`` replaced by
+    ``grid_penalties``' values on the bandwidth grid of ``dist``."""
+    pen1, floors, pen2, between1, between2 = penalties
+    grid = bandwidth_grid(dist)
 
     def cell(h):
         k = int(np.searchsorted(grid, h))
@@ -170,11 +206,16 @@ def patched_penalties(dist, penalties):
         t = math.log(h / grid[k - 1]) / math.log(grid[k] / grid[k - 1])
         return float(between1[min(int(4 * t), 3)])
 
+    def patched_pen1_floors(self, hs):
+        assert np.array_equal(hs, grid)
+        return floors.copy()
+
     def patched_pen2(self, h):
         k, on_grid = cell(h)
         return float(pen2[k] if on_grid else between2[int(np.float64(h).view(np.int64)) % 8])
 
     return (patch.object(_Smoothing, "pen1", patched_pen1),
+            patch.object(_Smoothing, "pen1_floors", patched_pen1_floors),
             patch.object(_Smoothing, "pen2", patched_pen2))
 
 
@@ -191,6 +232,23 @@ def multimodal(draw):
     empty = draw(st.lists(st.integers(0, n), max_size=n // 4))
     weights[empty] = 0.0
     weights[[int(round(c * n)) for c, _, _ in bumps]] += 0.05 * weights.max()
+    return ScoreDistribution(ScoreScale(0, n), weights / weights.sum())
+
+
+@st.composite
+def dense_or_sparse(draw):
+    """A score distribution on 0..n: mass at every point, or a
+    pass-through table of a few binomial draws with most points empty."""
+    n = draw(st.integers(1, 100))
+    if draw(st.booleans()):
+        weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n + 1,
+                                         max_size=n + 1)))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        weights = np.bincount(rng.binomial(n, draw(st.floats(0.05, 0.95)),
+                                           draw(st.integers(2, 400))), minlength=n + 1)
+        if np.count_nonzero(weights) < 2:
+            weights[[0, n]] += 1
     return ScoreDistribution(ScoreScale(0, n), weights / weights.sum())
 
 
@@ -307,32 +365,32 @@ class TestBandwidthSelection:
 
     @pytest.mark.parametrize("scenario_id", [1, 5, 9])
     def test_equals_eager_search_on_scenarios(self, scenario_id):
-        # r and s of replications 0-2 at seed 0, as the simulation draws them.
-        scenario = ScenarioSpec.from_table(scenario_id)
-        visits = []
-        for rep in range(3):
-            p, q = (gen_population(pop, scenario, seed=substream(0, rep, key))
-                    for key, pop in enumerate("PQ"))
-            r, s, _ = _target_probs(NecInput.from_datasets(p, q), GkePipelineConfig())
-            for dist in (r, s):
-                for kpen in (0.0, 0.5, 1.0):
-                    h, values = eager_search(dist, kpen)
+        visits, grid_pen1_calls = [], []
+        for dist in scenario_targets(scenario_id):
+            grid = set(bandwidth_grid(dist))
+            for kpen in (0.0, 0.5, 1.0):
+                h, values = eager_search(dist, kpen)
+                with patch.object(_Smoothing, "pen1", autospec=True,
+                                  side_effect=_Smoothing.pen1) as pen1_spy:
                     assert select_bandwidth(dist, kpen) == h
-                    if kpen == 0.0:
-                        pen1 = values
-                    else:
-                        # Every grid point whose PEN1 is below the grid's
-                        # least penalty has its PEN2 computed.
-                        visits.append(sum(v < min(values) for v in pen1))
+                grid_pen1_calls.append(sum(c.args[1] in grid for c in pen1_spy.call_args_list))
+                if kpen == 0.0:
+                    pen1 = values
+                else:
+                    # Every grid point whose PEN1 is below the grid's
+                    # least penalty has its PEN2 computed.
+                    visits.append(sum(v < min(values) for v in pen1))
         assert sum(v > 1 for v in visits) > len(visits) / 2
+        # The floors spare most searches some of the 64 grid PEN1s.
+        assert sum(n < 64 for n in grid_pen1_calls) > len(grid_pen1_calls) / 2
 
     @PROPERTY
     @given(grid_penalties(), st.sampled_from([0.0, 0.5, 1.0]))
     @example(tied_grid_penalties(), 1.0)
     def test_equals_eager_search_on_any_grid_penalties(self, penalties, kpen):
         dist = binomial_dist(20, 0.5)
-        patch_pen1, patch_pen2 = patched_penalties(dist, penalties)
-        with patch_pen1, patch_pen2:
+        patch_pen1, patch_floors, patch_pen2 = patched_penalties(dist, penalties)
+        with patch_pen1, patch_floors, patch_pen2:
             assert select_bandwidth(dist, kpen) == eager_search(dist, kpen)[0]
 
     @PROPERTY
@@ -341,6 +399,22 @@ class TestBandwidthSelection:
         dist = data.draw(multimodal())
         kpen = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
         assert select_bandwidth(dist, kpen) == eager_search(dist, kpen)[0]
+
+    @pytest.mark.parametrize("scenario_id", [1, 5, 9])
+    def test_pen1_floors_are_below_pen1_on_scenarios(self, scenario_id):
+        for dist in scenario_targets(scenario_id):
+            smoothing, grid = _Smoothing(dist), bandwidth_grid(dist)
+            floors = smoothing.pen1_floors(grid)
+            assert all(f <= smoothing.pen1(h) for f, h in zip(floors, grid))
+            assert np.count_nonzero(floors) > 0
+
+    @PROPERTY
+    @given(st.one_of(dense_or_sparse(), multimodal()))
+    def test_pen1_floors_are_below_pen1(self, dist):
+        smoothing, grid = _Smoothing(dist), bandwidth_grid(dist)
+        floors = smoothing.pen1_floors(grid)
+        assert floors.shape == grid.shape
+        assert all(0.0 <= f <= smoothing.pen1(h) for f, h in zip(floors, grid))
 
 
 class TestExactZeros:
@@ -366,11 +440,66 @@ class TestExactZeros:
         assert np.array_equal(kernel_cdf(c, x), cdf)
         assert kernel_cdf(c, 17.0) == unmasked_terms(dist, h, np.array(17.0))[2]
         assert kernel_pdf(c, 17.0) == unmasked_terms(dist, h, np.array(17.0))[0]
-        left, right = unmasked_terms(dist, h, np.stack([points - 0.25, points + 0.25]))[1]
-        pen1 = float(np.sum((dist.probs - unmasked_terms(dist, h, points)[0]) ** 2))
-        pen2 = float(np.sum((left < 0.0) & ~(right > 0.0)))
         for kpen in (0.0, 0.5, 1.0):
-            assert penalty(dist, h, kpen) == (pen1 + kpen * pen2 if kpen else pen1)
+            assert penalty(dist, h, kpen) == unmasked_penalty(dist, h, kpen)
+
+    def test_exp_is_normal_exactly_above_exp_normal(self):
+        tiny = np.finfo(float).tiny  # DBL_MIN
+        assert EXP_NORMAL == np.nextafter(math.log(tiny), -np.inf)
+        above = np.concatenate([[np.nextafter(EXP_NORMAL, np.inf)],
+                                np.linspace(np.nextafter(EXP_NORMAL, np.inf), -700.0, 100_003)])
+        below = np.concatenate([[EXP_NORMAL, np.nextafter(EXP_NORMAL, -np.inf)],
+                                np.linspace(EXP_ZERO, EXP_NORMAL, 100_003)])
+        for args in (above, above[1::3], above[::-1].copy()):
+            assert np.all(np.exp(args) >= tiny)
+        for args in (below, below[1::3], below[::-1].copy()):
+            assert np.all(np.exp(args) <= tiny)
+        assert math.exp(np.nextafter(EXP_NORMAL, np.inf)) >= tiny >= math.exp(EXP_NORMAL)
+
+    @PROPERTY
+    @given(st.data())
+    def test_terms_equal_unmasked_formula_anywhere(self, data):
+        dist = data.draw(dense_or_sparse())
+        grid = bandwidth_grid(dist)
+        h = data.draw(st.floats(float(grid[0]), float(grid[-1])))
+        n = dist.scale.max
+        reach = data.draw(st.floats(0.0, 20.0)) * (n + h)
+        x = np.concatenate([dist.scale.points.astype(float),
+                            np.linspace(-reach, n + reach, data.draw(st.integers(1, 60)))])
+        pdf, slope = _kernel(ContinuizedCdf(dist, h), x, "pdf", "slope")
+        expected = unmasked_terms(dist, h, x, cdf=False)
+        assert np.array_equal(pdf, expected[0]) and np.array_equal(slope, expected[1])
+        for kpen in (0.0, 1.0):
+            assert penalty(dist, h, kpen) == unmasked_penalty(dist, h, kpen)
+
+    def test_sparse_table_takes_the_redo_and_keeps_the_search(self):
+        # A pass-through table of 52 draws on 0..84: far from the mass the
+        # density and slope sums fall below 2**-800, so many calls are
+        # redone with the subnormals.
+        counts = np.bincount(np.random.default_rng(3).binomial(84, 0.34, 52), minlength=85)
+        dist = ScoreDistribution(ScoreScale(0, 84), counts / counts.sum())
+        grid = bandwidth_grid(dist)
+        for kpen in (0.0, 0.5, 1.0):
+            with subnormal_redos() as spy:
+                h = select_bandwidth(dist, kpen)
+            assert spy.call_count > 0
+            expected, values = eager_search(dist, kpen)
+            assert h == expected
+            assert values == [unmasked_penalty(dist, g, kpen) for g in grid]
+
+    def test_scenario_5_never_takes_the_redo(self):
+        # The presmoothed r and s of scenario 5, and every density and slope
+        # sum of the GKE and sequential GKE runs, stay above 2**-800.
+        scenario = ScenarioSpec.from_table(5)
+        with subnormal_redos() as spy:
+            for dist in scenario_targets(5):
+                select_bandwidth(dist)
+            for rep in range(3):
+                p, q = (gen_population(pop, scenario, seed=substream(0, rep, key))
+                        for key, pop in enumerate("PQ"))
+                for method in ("GKE", "sequential GKE"):
+                    PipelineSpec(method, OTHER_SCORE).run(p, q)
+        assert spy.call_count == 0
 
     def test_terms_outlive_reused_scratch_arrays(self):
         c = ContinuizedCdf(binomial_dist(20, 0.4), 0.6)

@@ -377,6 +377,13 @@ class TestEquateChain:
             ChainStep(source="a", target="b", design="nec", covariates=("g",),
                       **{attr: {"g": "align-y", "other": "align-y"}})
 
+    @pytest.mark.parametrize("attr", ["equated_covariates", "target_equated_covariates"])
+    @pytest.mark.parametrize("ids", [[], ()], ids=["list", "tuple"])
+    def test_equated_covariate_without_step_ids_rejected(self, attr, ids):
+        with pytest.raises(PlanError, match=f"step 'x': {attr} gives 'g' no step ids"):
+            ChainStep(source="a", target="b", design="nec", covariates=("g",), id="x",
+                      **{attr: {"g": ids}})
+
     def test_run_order_puts_referenced_steps_first(self):
         plan = ChainPlan("base", (
             ChainStep(source="x", target="base", design="nec", covariates=("g",),
