@@ -197,7 +197,7 @@ def build_covariate_space(raw_tables, covariate_names, bins: dict,
         elif levels and name in levels:
             variables.append(Categorical(name, levels[name]))
         else:
-            pooled = set().union(*(raw.columns[name] for raw in raw_tables))
+            pooled = set().union(*(raw.columns[name].tokens for raw in raw_tables))
             variables.append(Categorical(name, tuple(sorted(pooled))))
     return CovariateSpace(tuple(variables))
 

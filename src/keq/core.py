@@ -11,7 +11,10 @@ parallel workers.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
+import sys
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -420,94 +423,228 @@ class EquatingTable:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class TokenColumn:
+    """A dictionary-encoded text column: its distinct tokens, and for each
+    record the index of its token."""
+
+    tokens: tuple[str, ...]
+    codes: np.ndarray
+
+    @classmethod
+    def encode(cls, values) -> "TokenColumn":
+        """Distinct tokens in order of first appearance."""
+        index: dict[str, int] = {}
+        codes = np.fromiter((index.setdefault(v, len(index)) for v in values),
+                            dtype=np.intp, count=len(values))
+        return cls(tuple(index), codes)
+
+    def first_record(self, token_mask: np.ndarray) -> int:
+        """Index of the first record whose token is flagged in ``token_mask``."""
+        return int(np.argmax(token_mask[self.codes]))
+
+
+@dataclass(frozen=True)
 class RawPersonTable:
-    """Parsed person CSV: integer scores plus raw string covariate columns."""
+    """Parsed person CSV: integer scores plus each covariate column's
+    stripped tokens as a :class:`TokenColumn` (a plain sequence of tokens
+    is encoded on construction)."""
 
     scores: np.ndarray
-    columns: dict[str, list[str]]
+    columns: dict[str, TokenColumn]
+
+    def __post_init__(self):
+        object.__setattr__(self, "columns", {
+            name: col if isinstance(col, TokenColumn) else TokenColumn.encode(col)
+            for name, col in self.columns.items()
+        })
 
     @property
     def n(self) -> int:
         return len(self.scores)
 
 
+# The columnar pass parses each covariate field as bytes of this fixed width;
+# a field that fills it may have been cut, and its file goes to the row loop.
+TOKEN_BYTES = 16
+# Bytes whose files go to the row loop: quotes, carriage returns, control
+# characters other than tab and newline, and everything outside ASCII.
+_ROW_LOOP_BYTES = bytes([*range(0x09), *range(0x0B, 0x20), ord('"'), *range(0x7F, 0x100)])
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
+
 def read_person_csv(path, score_column: str = "score",
                     covariate_columns: list[str] | None = None) -> RawPersonTable:
     """Read a person-level CSV (header row, one row per person).
 
-    The file must carry a ``score`` column of integers plus one column per
-    covariate; empty fields are rejected.  ``covariate_columns`` restricts
-    which columns are kept (default: all non-score columns).
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError("empty file", line=1, path=path) from None
-        header = [h.strip() for h in header]
-        if score_column not in header:
-            raise CsvFormatError(f"missing column {score_column!r}", line=1, path=path)
-        if covariate_columns is None:
-            covariate_columns = [h for h in header if h != score_column]
-        for c in covariate_columns:
-            if c not in header:
-                raise CsvFormatError(f"missing column {c!r}", line=1, path=path)
-        score_pos = header.index(score_column)
-        cov_pos = {c: header.index(c) for c in covariate_columns}
+    The file must be UTF-8 text with unique header names, a ``score``
+    column of integers and one column per covariate; empty fields are
+    rejected.  ``covariate_columns`` restricts which columns are kept
+    (default: all non-score columns).
 
-        scores: list[int] = []
-        columns: dict[str, list[str]] = {c: [] for c in covariate_columns}
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise CsvFormatError(f"expected {len(header)} fields, found {len(row)}",
+    Plain files (ASCII without quotes or carriage returns, short tokens)
+    are parsed in one ``np.loadtxt`` pass.  Every other file, and every
+    file that pass finds anything wrong with, is read record by record
+    with the ``csv`` module; only that row loop raises for the body.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start]
+        line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+        raise CsvFormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}",
+                             line=line, path=path) from None
+    rows = csv.reader(io.StringIO(text, newline=""))
+    try:
+        layout = _person_header(next(rows, None), path, score_column, covariate_columns)
+        return _columnar_body(data, *layout) or _body_by_rows(rows, path, *layout)
+    except csv.Error as exc:
+        raise CsvFormatError(str(exc), line=rows.line_num, path=path) from None
+
+
+def _person_header(header, path, score_column, covariate_columns):
+    """Field count, score position and ``{covariate: position}`` of a header row."""
+    if header is None:
+        raise CsvFormatError("empty file", line=1, path=path)
+    header = [h.strip() for h in header]
+    seen = set()
+    for h in header:
+        if h in seen:
+            raise CsvFormatError(f"duplicate column {h!r}", line=1, path=path)
+        seen.add(h)
+    if score_column not in header:
+        raise CsvFormatError(f"missing column {score_column!r}", line=1, path=path)
+    if covariate_columns is None:
+        covariate_columns = [h for h in header if h != score_column]
+    for c in covariate_columns:
+        if c not in header:
+            raise CsvFormatError(f"missing column {c!r}", line=1, path=path)
+    return len(header), header.index(score_column), {c: header.index(c) for c in covariate_columns}
+
+
+def _body_by_rows(rows, path, n_fields: int, score_pos: int, cov_pos: dict) -> RawPersonTable:
+    """The records after the header, one ``csv`` row at a time (the reference
+    reader, and the only one that reports malformed input)."""
+    scores: list[int] = []
+    columns: dict[str, list[str]] = {c: [] for c in cov_pos}
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != n_fields:
+            raise CsvFormatError(f"expected {n_fields} fields, found {len(row)}",
+                                 line=lineno, path=path)
+        token = row[score_pos].strip()
+        if token == "":
+            raise CsvFormatError("missing score value", line=lineno, path=path)
+        try:
+            score = int(token)
+        except ValueError:
+            raise CsvFormatError(f"non-integer score {token!r}",
+                                 line=lineno, path=path) from None
+        if not _INT64_MIN <= score <= _INT64_MAX:
+            raise CsvFormatError(f"score {token!r} outside the 64-bit integer range",
+                                 line=lineno, path=path)
+        scores.append(score)
+        for c, pos in cov_pos.items():
+            value = row[pos].strip()
+            if value == "":
+                raise CsvFormatError(f"missing value in column {c!r}",
                                      line=lineno, path=path)
-            token = row[score_pos].strip()
-            if token == "":
-                raise CsvFormatError("missing score value", line=lineno, path=path)
-            try:
-                scores.append(int(token))
-            except ValueError:
-                raise CsvFormatError(f"non-integer score {token!r}",
-                                     line=lineno, path=path) from None
-            for c, pos in cov_pos.items():
-                value = row[pos].strip()
-                if value == "":
-                    raise CsvFormatError(f"missing value in column {c!r}",
-                                         line=lineno, path=path)
-                columns[c].append(value)
+            columns[c].append(value)
     if not scores:
         raise CsvFormatError("no data rows", line=2, path=path)
     return RawPersonTable(np.asarray(scores, dtype=np.int64), columns)
 
 
+def _columnar_body(data: bytes, n_fields: int, score_pos: int,
+                   cov_pos: dict) -> RawPersonTable | None:
+    """The records after the header in one ``np.loadtxt`` pass, or None
+    wherever the row loop might read the file differently: bytes it does
+    not vouch for, a line longer than ``csv`` takes a field or ``int`` a
+    numeral, fewer parsed rows than lines (``loadtxt`` skips blank ones),
+    any ``loadtxt`` error or warning, a covariate field that fills
+    ``TOKEN_BYTES`` or is empty once stripped."""
+    if len(data.translate(None, _ROW_LOOP_BYTES)) != len(data) or score_pos in cov_pos.values():
+        return None
+    ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+    n_lines = len(ends) - 1 + (not data.endswith(b"\n"))
+    limit = csv.field_size_limit()
+    # int() has no digit limit before Python 3.10.7, nor when it is set to 0.
+    longest = min(limit, getattr(sys, "get_int_max_str_digits", lambda: 0)() or limit)
+    if n_lines < 1 or np.diff(ends, prepend=-1, append=len(data)).max() > longest:
+        return None
+    fields = ["S1"] * n_fields
+    fields[score_pos] = np.int64
+    for pos in cov_pos.values():
+        fields[pos] = f"S{TOKEN_BYTES}"
+    body = io.StringIO(data[ends[0] + 1:].decode("ascii"))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(body, dtype=[(f"f{i}", t) for i, t in enumerate(fields)],
+                               delimiter=",", comments=None, quotechar=None, ndmin=1)
+    except (ValueError, OverflowError, Warning):
+        return None
+    if len(table) < n_lines:
+        return None
+    columns = {}
+    for name, pos in cov_pos.items():
+        columns[name] = _token_column(table[f"f{pos}"])
+        if columns[name] is None:
+            return None
+    return RawPersonTable(table[f"f{score_pos}"].copy(), columns)
+
+
+def _token_column(field: np.ndarray) -> TokenColumn | None:
+    """Stripped tokens of a fixed-width byte column, each distinct field
+    decoded once; None if a field may have been cut or strips to empty."""
+    field = np.ascontiguousarray(field)
+    words = field.view(np.uint64).reshape(len(field), -1)
+    if words[:, 1:].any():
+        if field.view(np.uint8).reshape(len(field), -1)[:, -1].any():
+            return None
+        raw, codes = np.unique(field, return_inverse=True)
+    else:
+        # Fields of at most 8 bytes are one integer each, which sorts faster.
+        raw, codes = np.unique(words[:, 0], return_inverse=True)
+        raw = raw.view("S8")
+    stripped = TokenColumn.encode([t.decode("ascii").strip() for t in raw.tolist()])
+    if "" in stripped.tokens:
+        return None
+    return TokenColumn(stripped.tokens, stripped.codes[codes])
+
+
 def coerce_dataset(raw: RawPersonTable, scale: ScoreScale,
                    covariates: CovariateSpace) -> Dataset:
-    """Convert raw string columns to typed ones and build a validated Dataset."""
+    """Convert raw token columns to typed ones and build a validated Dataset.
+
+    Each distinct token is converted once and the values are gathered by
+    code; an error names the first record holding a bad token."""
     columns: dict[str, np.ndarray] = {}
     for v in covariates.variables:
-        tokens = raw.columns.get(v.name)
-        if tokens is None:
+        col = raw.columns.get(v.name)
+        if col is None:
             raise ValidationError(f"missing covariate column {v.name!r}")
         if isinstance(v, Binned):
-            try:
-                columns[v.name] = np.asarray([float(t) for t in tokens])
-            except ValueError:
-                bad = next(i for i, t in enumerate(tokens) if not _is_float(t))
+            bad = np.array([not _is_float(t) for t in col.tokens], dtype=bool)
+            if bad.any():
+                i = col.first_record(bad)
                 raise ValidationError(
-                    f"record {bad}: non-numeric value {tokens[bad]!r} "
+                    f"record {i}: non-numeric value {col.tokens[col.codes[i]]!r} "
                     f"for binned covariate {v.name!r}"
-                ) from None
+                )
+            values = np.array([float(t) for t in col.tokens], dtype=float)
         else:
             lookup = {str(level): level for level in v.levels}
-            try:
-                values = list(map(lookup.__getitem__, tokens))
-            except KeyError:
-                i, t = _first_missing(tokens, lookup)
+            bad = np.array([t not in lookup for t in col.tokens], dtype=bool)
+            if bad.any():
+                i = col.first_record(bad)
                 raise ValidationError(
-                    f"record {i}: undeclared level {t!r} for covariate {v.name!r}"
-                ) from None
-            columns[v.name] = np.asarray(values, dtype=object)
+                    f"record {i}: undeclared level {col.tokens[col.codes[i]]!r} "
+                    f"for covariate {v.name!r}"
+                )
+            values = np.fromiter(map(lookup.__getitem__, col.tokens), dtype=object,
+                                 count=len(col.tokens))
+        columns[v.name] = values[col.codes]
     return Dataset(scale, covariates, raw.scores, columns)
 
 

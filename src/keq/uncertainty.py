@@ -17,7 +17,6 @@ share of failed indices.  Any partition of the range gives the same rows.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -60,6 +59,9 @@ def replicate(chunk, n: int, threads: int, what: str, label: str):
     if threads == 1:
         parts = [chunk(0, n)]
     else:
+        # Imported here: it loads multiprocessing, which a serial run never uses.
+        from concurrent.futures import ProcessPoolExecutor
+
         bounds = np.linspace(0, n, threads + 1, dtype=int)
         with ProcessPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(chunk, int(a), int(b))

@@ -149,6 +149,21 @@ class TestCmdEquate:
             assert code == 2
             assert f"{bad}: line 3: missing score value" in one_line_error(capsys)
 
+    @pytest.mark.parametrize("content, message", [
+        (b"score,g\n3,a\n99999999999999999999,b\n",
+         "line 3: score '99999999999999999999' outside the 64-bit integer range"),
+        (b"score,g\n3,a\n4,\xff\n", "line 3: not UTF-8 text: invalid start byte at byte 14"),
+        (b"score,g,g\n3,a,b\n", "line 1: duplicate column 'g'"),
+    ], ids=["int64-overflow", "not-utf8", "duplicate-header"])
+    def test_malformed_person_csv_exits_2_naming_file_and_line(self, tmp_path, capsys,
+                                                               content, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content)
+        code = main(["equate", "--design", "nec", "--p", str(bad), "--q", str(bad),
+                     "--covariates", "g", "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert one_line_error(capsys) == f"error: {bad}: {message}\n"
+
     def test_sequential_without_covariate_exits_2(self, person_files, tmp_path):
         p_path, q_path = person_files
         code = main(["equate", "--design", "nec", "--p", str(p_path),
@@ -257,7 +272,8 @@ def test_import_and_equate_run_load_no_scipy(person_files, tmp_path):
             *NEC_FLAGS, "--out", str(tmp_path / "o.csv")]
     code = ("import sys, keq, keq.cli; "
             f"assert keq.cli.main({argv!r}) == 0; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'multiprocessing')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert proc.stdout.strip() == "[]"

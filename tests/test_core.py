@@ -1,8 +1,13 @@
 """Tests for scales, covariate spaces, tables, datasets, and CSV ingestion."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from keq import core
 from keq.core import (
     Binned,
     Categorical,
@@ -11,6 +16,7 @@ from keq.core import (
     Dataset,
     EquatingTable,
     JointProbabilityTable,
+    KeqError,
     RawPersonTable,
     ScoreDistribution,
     ScoreScale,
@@ -323,3 +329,107 @@ class TestPersonCsv:
         space = CovariateSpace((Categorical("school", ("a", "b")),))
         with pytest.raises(ValidationError, match="record 1"):
             coerce_dataset(raw, ScoreScale(0, 5), space)
+
+    def test_duplicate_header_name_rejected(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("score,g, g\n3,a,b\n", encoding="utf-8")
+        with pytest.raises(CsvFormatError, match="line 1: duplicate column 'g'"):
+            read_person_csv(path, covariate_columns=["g"])
+
+    def test_score_beyond_int64_names_line(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("score,g\n3,a\n99999999999999999999,b\n", encoding="utf-8")
+        with pytest.raises(CsvFormatError, match="line 3: score '99999999999999999999' outside"):
+            read_person_csv(path)
+
+    def test_invalid_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"score,g\n3,a\r\n4,\xff\n")
+        with pytest.raises(CsvFormatError, match=r"latin1\.csv: line 3: not UTF-8 text"):
+            read_person_csv(path)
+
+    def test_field_beyond_csv_limit_names_line(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text(f"score,g,note\n3,a,-\n4,b,{'n' * 200_000}\n", encoding="utf-8")
+        with pytest.raises(CsvFormatError, match="line 3: field larger than field limit"):
+            read_person_csv(path, covariate_columns=["g"])
+
+    def test_plain_file_is_read_in_one_columnar_pass(self, tmp_path):
+        path = tmp_path / "plain.csv"
+        path.write_text("score,g,h\n3, 01,7\n1,1,x\n3,01 ,7\n", encoding="utf-8")
+        with mock.patch.object(core, "_body_by_rows") as rows:
+            raw = read_person_csv(path, covariate_columns=["g"])
+        rows.assert_not_called()
+        assert raw.scores.tolist() == [3, 1, 3]
+        g = raw.columns["g"]
+        assert [g.tokens[c] for c in g.codes] == ["01", "1", "01"]
+
+
+# Fields of drawn person CSVs.  The plain ones (padded, "01" next to "1",
+# eight bytes and more) are the columnar pass's to read; each odd one must
+# make it hand the file to the row loop, or be rejected by both readers.
+PLAIN_SCORES = st.one_of(st.integers(-3, 30).map(str),
+                         st.sampled_from([" 7", "7 ", "\t7", "07", "+7", "-0"]))
+ODD_SCORES = st.sampled_from(["٣", "1_0", "3.0", "", " ", "#4", "9" * 20, "7\x00", '"7"'])
+PLAIN_TOKENS = st.sampled_from(["1", "01", "2", " 1", "1 ", "\tb ", "a", "#", "#c", "3.5", "nan",
+                                "12345678", "123456789", "x" * (core.TOKEN_BYTES - 1)])
+ODD_TOKENS = st.sampled_from(["y" * (core.TOKEN_BYTES + 2), "x" * core.TOKEN_BYTES, "", " ",
+                              "é", "a\x00", '"a"', '"a,b"'])
+
+
+@st.composite
+def person_csv_texts(draw):
+    """A person CSV over columns score, g (categorical), h (binned) and an
+    unused x, in drawn order: plain rows plus up to three drawn defects."""
+    header = draw(st.permutations(["score", "g", "h", "x"]))
+    rows = [[draw(PLAIN_SCORES if name == "score" else PLAIN_TOKENS) for name in header]
+            for _ in range(draw(st.integers(1, 6)))]
+    blank_at, end, final_end = [], "\n", True
+    for defect in draw(st.lists(st.sampled_from(
+            ["field"] * 4 + ["ragged", "blank", "crlf", "no-final-end", "header"]), max_size=3)):
+        r = draw(st.integers(0, len(rows) - 1))
+        if defect == "field":
+            k = draw(st.integers(0, len(rows[r]) - 1))
+            score = k < len(header) and header[k] == "score"
+            rows[r][k] = draw(ODD_SCORES if score else ODD_TOKENS)
+        elif defect == "ragged":
+            rows[r] = rows[r][:-1] if draw(st.booleans()) else rows[r] + ["1"]
+        elif defect == "blank":
+            blank_at.append(r)
+        elif defect == "crlf":
+            end = "\r\n"
+        elif defect == "no-final-end":
+            final_end = False
+        else:
+            header = [f" {header[0]}"] + header[1:]
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    for r in sorted(blank_at, reverse=True):
+        lines.insert(r + 1, "")
+    return end.join(lines) + (end if final_end else "")
+
+
+def _person_csv_outcome(path):
+    """Scores, typed columns and cells of the dataset read from ``path``, or
+    the error that reading or coercing it raised."""
+    try:
+        raw = read_person_csv(path, covariate_columns=["g", "h"])
+        space = CovariateSpace((Categorical("g", tuple(sorted(raw.columns["g"].tokens))),
+                                Binned("h", (0.0, 5.0, 10.0))))
+        scale = ScoreScale(int(raw.scores.min()), int(raw.scores.max()))
+        data = coerce_dataset(raw, scale, space)
+    except KeqError as exc:
+        return type(exc), str(exc)
+    return (data.scores.tolist(), {k: c.tolist() for k, c in data.columns.items()},
+            data.cell_indices().tolist())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=person_csv_texts())
+@example(text=f"score,g,h,x\n1,{'y' * (core.TOKEN_BYTES + 2)},1,1\n")
+@example(text="score,g,h,x\n1,a,1,1\n\n2,b,3,1\n")
+def test_columnar_pass_reads_what_the_row_loop_reads(text, tmp_path_factory):
+    path = tmp_path_factory.mktemp("csv") / "people.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(core, "_columnar_body", return_value=None):
+        expected = _person_csv_outcome(path)
+    assert _person_csv_outcome(path) == expected
