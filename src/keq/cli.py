@@ -247,27 +247,31 @@ def _pipeline_spec(args) -> PipelineSpec:
             raise UsageError(f"--bin {name}: not one of --covariates")
     if args.dump_replicates and not args.bootstrap:
         raise UsageError("--dump-replicates requires --bootstrap")
-    if args.equate_covariate and not args.sequential:
-        raise UsageError("--equate-covariate requires --sequential")
-    if args.sequential:
+    if args.equate_covariate is not None:
         if args.design != "nec":
-            raise UsageError("--sequential requires --design nec")
-        if not args.equate_covariate:
-            raise UsageError("--sequential requires --equate-covariate")
-        if args.equate_covariate not in cov_names:
+            raise UsageError("--equate-covariate requires --design nec")
+        if args.equate_covariate not in bins:  # bins name only --covariates
             raise UsageError(
-                f"--equate-covariate {args.equate_covariate}: not one of --covariates")
-        if args.equate_covariate not in bins:
-            raise UsageError(
-                f"--equate-covariate {args.equate_covariate}: must be a binned "
-                "(score-like) covariate given by --bin")
-    method = "sequential GKE" if args.sequential else "GKE" if args.design == "nec" else "EG"
-    return PipelineSpec(method, args.equate_covariate, _pipeline_config(args))
+                f"--equate-covariate {args.equate_covariate}: must be one of --covariates, "
+                "binned (score-like) by --bin")
+        return PipelineSpec("sequential GKE", args.equate_covariate, _pipeline_config(args))
+    return PipelineSpec("GKE" if args.design == "nec" else "EG", config=_pipeline_config(args))
 
 
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
+
+def _warn_unconverged(table: EquatingTable, where: str = "") -> None:
+    """One stderr warning, prefixed by ``where``, per unconverged presmoothing fit."""
+    covariate_run = table.diagnostics.get("covariate_equating", {})
+    for run, fits in (("", table.diagnostics.get("presmooth", {})),
+                      (" (covariate run)", covariate_run.get("presmooth", {}))):
+        for name, fit in fits.items():
+            if "warning" in fit:
+                print(f"warning: {where}presmoothing {name.upper()}{run}: {fit['warning']}",
+                      file=sys.stderr)
+
 
 def cmd_equate(args) -> int:
     spec = _input_phase(_pipeline_spec, args)
@@ -279,16 +283,10 @@ def cmd_equate(args) -> int:
         boot = _input_phase(BootstrapConfig, args.bootstrap, args.seed)
     metadata = {"command": "equate", "design": args.design}
     table = spec.run(p_data, q_data)
-    covariate_run = table.diagnostics.get("covariate_equating", {})
-    for run, fits in (("", table.diagnostics.get("presmooth", {})),
-                      (" (covariate run)", covariate_run.get("presmooth", {}))):
-        for name, fit in fits.items():
-            if "warning" in fit:
-                print(f"warning: presmoothing {name.upper()}{run}: {fit['warning']}",
-                      file=sys.stderr)
-    if args.sequential:
+    _warn_unconverged(table)
+    if spec.covariate is not None:
         summary = table.diagnostics["covariate_equating"]
-        metadata["equated_covariate"] = args.equate_covariate
+        metadata["equated_covariate"] = spec.covariate
         metadata["covariate_mean_shift"] = f"{summary['mean_shift']:.4f}"
     metadata["method"] = table.method
     if args.bootstrap:
@@ -446,6 +444,7 @@ def cmd_chain(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for step_id, table in result.step_tables.items():
+        _warn_unconverged(table, f"step {step_id!r}: ")
         write_equating_table(table, out_dir / f"step_{_safe_name(step_id)}.csv",
                              args.precision, {"step": step_id, "method": table.method})
     for form, table in result.composed_tables.items():
@@ -620,10 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
     eq.add_argument("--interaction-degree", type=int, default=1)
     eq.add_argument("--covariate-terms", choices=("cells", "variables", "numeric"),
                     default="cells")
-    eq.add_argument("--sequential", action="store_true",
-                    help="equate a covariate first (sequential pipeline)")
     eq.add_argument("--equate-covariate", default=None,
-                    help="covariate column to equate before the main run")
+                    help="equate this binned covariate first (sequential GKE; nec only)")
     eq.add_argument("--bootstrap", type=int, default=0,
                     help="bootstrap replicates for SEE (0 = no SEE)")
     eq.add_argument("--dump-replicates", default=None,

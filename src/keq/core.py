@@ -138,7 +138,7 @@ class Categorical:
     def n_levels(self) -> int:
         return len(self.levels)
 
-    def level_indices(self, values: np.ndarray, what: str = "dataset") -> np.ndarray:
+    def level_indices(self, values: np.ndarray) -> np.ndarray:
         lookup = {level: i for i, level in enumerate(self.levels)}
         items = np.asarray(values).tolist()
         try:
@@ -147,7 +147,7 @@ class Categorical:
         except KeyError:
             i, v = _first_missing(items, lookup)
             raise ValidationError(
-                f"{what}: record {i} has undeclared level {v!r} "
+                f"dataset: record {i} has undeclared level {v!r} "
                 f"for covariate {self.name!r}"
             ) from None
 
@@ -176,12 +176,12 @@ class Binned:
     def n_levels(self) -> int:
         return len(self.thresholds)
 
-    def level_indices(self, values: np.ndarray, what: str = "dataset") -> np.ndarray:
+    def level_indices(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=float)
         if not np.all(np.isfinite(values)):
             bad = int(np.argmax(~np.isfinite(values)))
             raise ValidationError(
-                f"{what}: record {bad} has non-finite value for {self.name!r}"
+                f"dataset: record {bad} has non-finite value for {self.name!r}"
             )
         return discretize(values, self.thresholds)
 
@@ -320,7 +320,7 @@ class Dataset:
                 raise ValidationError(f"column {v.name!r} length mismatch")
             # Also the membership / finiteness check of the column's values.
             cells *= v.n_levels
-            cells += v.level_indices(col, what="dataset").astype(cells.dtype)
+            cells += v.level_indices(col).astype(cells.dtype)
             col = col.copy()
             col.setflags(write=False)
             cols[v.name] = col

@@ -25,6 +25,7 @@ import numpy as np
 
 from .core import (
     Binned,
+    CovariateSpace,
     Dataset,
     EquatingTable,
     JointProbabilityTable,
@@ -214,12 +215,11 @@ def equate_gke(nec: NecInput, config: GkePipelineConfig | None = None,
 # Sequential equating: covariate first, then the primary scores
 # ---------------------------------------------------------------------------
 
-def _covariate_subdataset(data: Dataset, covariate: str,
-                          others: tuple[str, ...], scale) -> Dataset:
-    """``covariate`` as the score, with ``others`` as the covariates."""
-    rest = data.restrict(others)
-    return Dataset(scale, rest.covariates, np.round(data.columns[covariate]).astype(int),
-                   rest.columns)
+def _covariate_subdataset(data: Dataset, covariate: str, scale) -> Dataset:
+    """``covariate`` as the score, with the other covariates as the covariates."""
+    space = CovariateSpace(tuple(v for v in data.covariates.variables if v.name != covariate))
+    return Dataset(scale, space, np.round(data.columns[covariate]).astype(int),
+                   {name: data.columns[name] for name in space.names})
 
 
 def equate_covariate(p_data: Dataset, q_data: Dataset, covariate: str,
@@ -252,15 +252,12 @@ def equate_covariate(p_data: Dataset, q_data: Dataset, covariate: str,
         values = np.asarray(data.columns[covariate], dtype=float)
         if not np.all(values == np.round(values)):
             raise ValidationError(f"covariate {covariate!r} not integer-valued")
-    others = tuple(
-        v.name for v in p_data.covariates.variables if v.name != covariate
-    )
 
     lo = int(min(p_data.columns[covariate].min(), q_data.columns[covariate].min()))
     hi = int(max(p_data.columns[covariate].max(), q_data.columns[covariate].max()))
     cov_scale = ScoreScale(lo, hi)
-    p_sub = _covariate_subdataset(p_data, covariate, others, cov_scale)
-    q_sub = _covariate_subdataset(q_data, covariate, others, cov_scale)
+    p_sub = _covariate_subdataset(p_data, covariate, cov_scale)
+    q_sub = _covariate_subdataset(q_data, covariate, cov_scale)
 
     # Roles swap: the second population is the source of the covariate map.
     omega_cov = (1.0 - config.omega) if config.omega is not None else None
@@ -307,7 +304,7 @@ class PipelineSpec:
     """One equating method, run on a (source, target) pair of datasets.
 
     ``method`` is "EG", "GKE" (NEC design) or "sequential GKE";
-    sequential equating also names the covariate to equate first.
+    sequential equating, and only it, names the covariate to equate first.
     """
 
     method: str
@@ -317,8 +314,9 @@ class PipelineSpec:
     def __post_init__(self):
         if self.method not in ("EG", "GKE", "sequential GKE"):
             raise ValidationError(f"unknown pipeline method {self.method!r}")
-        if self.method == "sequential GKE" and not self.covariate:
-            raise ValidationError("sequential pipeline needs a covariate name")
+        if (self.method == "sequential GKE") != (self.covariate is not None):
+            raise ValidationError(f"{self.method} pipeline with covariate {self.covariate!r}: "
+                                  "sequential GKE, and only it, names a covariate")
 
     def run(self, p_data: Dataset, q_data: Dataset) -> EquatingTable:
         # The pipeline functions are looked up by module-global name on every
@@ -448,12 +446,11 @@ class ChainResult:
     composed_tables: dict
 
 
-def equate_chain(plan: ChainPlan, datasets: dict,
-                 config: GkePipelineConfig | None = None) -> ChainResult:
-    """Run the steps in ``plan.run_order`` and compose each form's path onto the
-    baseline.  The plan was checked when built; this checks only what needs the datasets.
+def equate_chain(plan: ChainPlan, datasets: dict) -> ChainResult:
+    """Run the steps in ``plan.run_order``, each by the default pipeline at its ``omega``,
+    and compose each form's path onto the baseline.  The plan was checked when
+    built; this checks only what needs the datasets.
     """
-    config = config or GkePipelineConfig()
     needed = {plan.baseline} | {s.source for s in plan.steps} | {s.target for s in plan.steps}
     missing = sorted(n for n in needed if n not in datasets)
     if missing:
@@ -482,7 +479,7 @@ def equate_chain(plan: ChainPlan, datasets: dict,
                                   (step.target, step.target_equated_covariates)))
         method = "EG" if step.design == "eg" else "GKE"
         step_tables[step.id] = PipelineSpec(
-            method, config=replace(config, omega=step.omega)).run(src, tgt)
+            method, config=GkePipelineConfig(omega=step.omega)).run(src, tgt)
 
     composed_tables: dict = {}
     for step in plan.steps:

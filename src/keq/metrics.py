@@ -71,9 +71,7 @@ class MetricsReport:
     score_points: np.ndarray
     truth: np.ndarray
     per_method: dict  # method -> {"bias": S, "see": S, "rmse": S}
-    ediff_points: np.ndarray | None = None
-    mean_ediff: float | None = None
-    dtm_exceed_fraction: float | None = None
+    ediff_points: np.ndarray | None = None  # with two methods: per-point EDIFF
     header: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -81,6 +79,18 @@ class MetricsReport:
             gap = np.max(np.abs(vecs["rmse"] ** 2 - vecs["bias"] ** 2 - vecs["see"] ** 2))
             if gap > 1e-10:
                 raise ValidationError(f"{method}: rmse^2 != bias^2 + see^2 (gap {gap:g})")
+
+    @property
+    def mean_ediff(self) -> float | None:
+        """EDIFF averaged over the score points (None without two methods)."""
+        return None if self.ediff_points is None else float(self.ediff_points.mean())
+
+    @property
+    def dtm_exceed_fraction(self) -> float | None:
+        """Share of score points whose EDIFF exceeds the difference that matters."""
+        if self.ediff_points is None:
+            return None
+        return float(np.mean(self.ediff_points > DTM_THRESHOLD))
 
     @classmethod
     def from_replicates(cls, score_points, truth, replicates: dict,
@@ -91,11 +101,8 @@ class MetricsReport:
             b = bias(reps, truth)
             s = mc_see(reps)
             per_method[method] = {"bias": b, "see": s, "rmse": rmse(b, s)}
-        ediff_points = mean_e = dtm_frac = None
+        ediff_points = None
         if len(replicates) == 2:
-            a, b_ = (replicates[m] for m in replicates)
-            ediff_points, mean_e = ediff(a, b_)
-            dtm_frac = float(np.mean(ediff_points > DTM_THRESHOLD))
+            ediff_points, _ = ediff(*replicates.values())
         return cls(np.asarray(score_points), np.asarray(truth, dtype=float),
-                   per_method, ediff_points, mean_e, dtm_frac,
-                   header=dict(header or {}))
+                   per_method, ediff_points, header=dict(header or {}))

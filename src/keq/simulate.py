@@ -28,7 +28,7 @@ from .core import (
     ScoreScale,
     ValidationError,
 )
-from .equate import GkePipelineConfig, PipelineSpec
+from .equate import PipelineSpec
 from .metrics import MetricsReport
 from .uncertainty import replicate, run_pairs
 
@@ -253,7 +253,6 @@ def _generate(scenario: ScenarioSpec, params: GeneratorParams, p_rng, q_rng):
 def run_scenario(scenario: ScenarioSpec, replications: int,
                  methods: tuple[str, ...] = (METHOD_GKE, METHOD_SEQ),
                  seed: int = 0, params: GeneratorParams | None = None,
-                 config: GkePipelineConfig | None = None,
                  threads: int = 1) -> MetricsReport:
     """Replicate the generate-and-equate cycle and score the results.
 
@@ -266,8 +265,7 @@ def run_scenario(scenario: ScenarioSpec, replications: int,
     if replications < 2:
         raise ValidationError("need at least 2 replications")
     params = params or GeneratorParams()
-    config = config or GkePipelineConfig()
-    specs = tuple(PipelineSpec(m, OTHER_SCORE, config) for m in methods)
+    specs = tuple(PipelineSpec(m, OTHER_SCORE if m == METHOD_SEQ else None) for m in methods)
     chunk = partial(run_pairs, partial(_generate, scenario, params), specs, seed)
     rows, failures = replicate(chunk, replications, threads, "replications", "rep")
     scale = params.scale()

@@ -50,22 +50,23 @@ def replicate(chunk, n: int, threads: int, what: str, label: str):
     """Run ``chunk(start, stop) -> (rows, failures)`` over the indices [0, n).
 
     The range is split into at most ``threads`` contiguous chunks, run in
-    this process when ``threads == 1`` and on a process pool otherwise
-    (``chunk`` must then be picklable).  ``failures`` are
+    this process when there is one and otherwise on a process pool with
+    one worker per chunk (``chunk`` must then be picklable).  ``failures`` are
     ``(index, message)`` pairs.  Rows and failures are returned in index
     order; more than ``MAX_FAILURE_FRACTION`` of ``n`` failing is an
     error, reported as "k of n {what} failed; first: {label} i: ...".
     """
-    if threads == 1:
+    bounds = np.linspace(0, n, threads + 1, dtype=int).tolist()
+    spans = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+    if len(spans) <= 1:
         parts = [chunk(0, n)]
     else:
         # Imported here: it loads multiprocessing, which a serial run never uses.
         from concurrent.futures import ProcessPoolExecutor
 
-        bounds = np.linspace(0, n, threads + 1, dtype=int)
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(chunk, int(a), int(b))
-                       for a, b in zip(bounds, bounds[1:]) if a < b]
+        # The pool starts all its workers at the first submit: one per chunk.
+        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+            futures = [pool.submit(chunk, a, b) for a, b in spans]
             parts = [fut.result() for fut in futures]
     rows = [row for part_rows, _ in parts for row in part_rows]
     failures = [f for _, part_failures in parts for f in part_failures]
@@ -91,8 +92,11 @@ class BootstrapConfig:
 class BootstrapResult:
     see: np.ndarray
     replicates: np.ndarray  # (successful replicates) x (score points)
-    n_failed: int
-    failures: tuple = ()
+    failures: tuple = ()  # (replicate index, message) of each failed replicate
+
+    @property
+    def n_failed(self) -> int:
+        return len(self.failures)
 
 
 def _resample(p_data: Dataset, q_data: Dataset, p_rng, q_rng):
@@ -135,4 +139,4 @@ def bootstrap_see(p_data: Dataset, q_data: Dataset, pipeline,
     see = matrix.std(axis=0, ddof=1)
     # Identical replicate columns must yield exactly zero, not rounding fuzz.
     see[np.ptp(matrix, axis=0) == 0.0] = 0.0
-    return BootstrapResult(see, matrix, len(failures), tuple(failures))
+    return BootstrapResult(see, matrix, tuple(failures))

@@ -92,7 +92,7 @@ class TestCmdEquate:
         monkeypatch.setattr(keq.presmooth, "fit_loglinear",
                             lambda *a, **kw: fit(*a, **{**kw, "max_iter": 1}))
         assert main(["equate", "--design", "nec", "--p", str(p_path), "--q", str(q_path),
-                     *NEC_FLAGS, "--sequential", "--equate-covariate", "other_score",
+                     *NEC_FLAGS, "--equate-covariate", "other_score",
                      "--out", str(tmp_path / "seq.csv")]) == 0
         err = capsys.readouterr().err.splitlines()
         assert [line.split(":")[1] for line in err] == [
@@ -104,8 +104,7 @@ class TestCmdEquate:
         p_path, q_path = person_files
         out = tmp_path / "seq.csv"
         code = main(["equate", "--design", "nec", "--p", str(p_path),
-                     "--q", str(q_path), *NEC_FLAGS,
-                     "--sequential", "--equate-covariate", "other_score",
+                     "--q", str(q_path), *NEC_FLAGS, "--equate-covariate", "other_score",
                      "--out", str(out)])
         assert code == 0
         text = out.read_text(encoding="utf-8")
@@ -164,13 +163,6 @@ class TestCmdEquate:
         assert code == 2
         assert one_line_error(capsys) == f"error: {bad}: {message}\n"
 
-    def test_sequential_without_covariate_exits_2(self, person_files, tmp_path):
-        p_path, q_path = person_files
-        code = main(["equate", "--design", "nec", "--p", str(p_path),
-                     "--q", str(q_path), *NEC_FLAGS, "--sequential",
-                     "--out", str(tmp_path / "o.csv")])
-        assert code == 2
-
     def test_nec_without_covariates_exits_2(self, person_files, tmp_path, capsys):
         p_path, q_path = person_files
         code = main(["equate", "--design", "nec", "--p", str(p_path), "--q", str(q_path),
@@ -201,16 +193,14 @@ class TestCmdEquate:
         assert "error: empty score scale [5, 3]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, named", [
-        (["--design", "eg", *NEC_FLAGS, "--sequential",
-          "--equate-covariate", "other_score"], "--sequential"),
-        (["--design", "nec", *NEC_FLAGS, "--sequential",
-          "--equate-covariate", "nosuch"], "--equate-covariate"),
-        (["--design", "nec", *NEC_FLAGS, "--sequential",
-          "--equate-covariate", "school"], "--equate-covariate"),
+        (["--design", "eg", *NEC_FLAGS, "--equate-covariate", "other_score"],
+         "--equate-covariate"),
+        (["--design", "nec", *NEC_FLAGS, "--equate-covariate", "nosuch"],
+         "--equate-covariate"),
+        (["--design", "nec", *NEC_FLAGS, "--equate-covariate", "school"],
+         "--equate-covariate"),
         (["--design", "nec", "--covariates", "school", "--bin", "nosuch=1,2"], "--bin"),
         (["--design", "eg", "--dump-replicates", "r.csv"], "--dump-replicates"),
-        (["--design", "nec", *NEC_FLAGS, "--equate-covariate", "other_score"],
-         "--equate-covariate"),
     ])
     def test_inconsistent_flags_exit_2(self, person_files, tmp_path, capsys, flags, named):
         p_path, q_path = person_files
@@ -431,6 +421,28 @@ class TestCmdChain:
         for f in out_dir.glob("*.csv"):
             table = read_equating_table(f)
             assert np.all(np.diff(table.equated) >= -1e-9)
+
+    def test_unconverged_presmoothing_warns_per_step(self, tmp_path, capsys, monkeypatch):
+        plan_path = write_chain_fixture(tmp_path)
+        argv = ["chain", "--plan", str(plan_path), "--precision", "full"]
+        assert main([*argv, "--out-dir", str(tmp_path / "converged")]) == 0
+        assert capsys.readouterr().err == ""
+        fit = keq.presmooth.fit_loglinear
+        monkeypatch.setattr(keq.presmooth, "fit_loglinear",
+                            lambda *a, **kw: fit(*a, **{**kw, "max_iter": 1}))
+        assert main([*argv, "--out-dir", str(tmp_path / "warned")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        expected = [f"warning: step '{step}': presmoothing {pop}: IRLS stopped after 1 "
+                    for step in ("s2018->s2017", "f2018->f2017", "f2017->s2017")
+                    for pop in "PQ"]
+        assert [line[:len(start)] for line, start in zip(err, expected)] == expected
+        assert len(err) == len(expected)
+        # The warnings leave the written tables as they are.
+        monkeypatch.setattr(keq.cli, "_warn_unconverged", lambda *a, **kw: None)
+        assert main([*argv, "--out-dir", str(tmp_path / "silent")]) == 0
+        assert capsys.readouterr().err == ""
+        for f in (tmp_path / "warned").iterdir():
+            assert f.read_bytes() == (tmp_path / "silent" / f.name).read_bytes()
 
     def test_one_step_chain_matches_cmd_equate(self, tmp_path):
         plan_path = write_chain_fixture(tmp_path)

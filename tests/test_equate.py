@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from keq.core import (
@@ -16,9 +18,11 @@ from keq.core import (
     discretize,
     substream,
 )
+from keq.continuize import P_TAIL, kernel_cdf
 from keq.equate import (
     ChainPlan,
     ChainStep,
+    ComposedMap,
     GkePipelineConfig,
     NecInput,
     PipelineSpec,
@@ -48,6 +52,25 @@ def one_cell(x, y, omega=0.5):
     space = CovariateSpace(())
     return NecInput(JointProbabilityTable(x.scale, space, x.probs[:, None]),
                     JointProbabilityTable(y.scale, space, y.probs[:, None]), omega)
+
+
+# Property tests draw a fixed example sequence, which keeps the suite
+# reproducible.
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# A round trip through two kernel inversions, each accurate to about 1e-13.
+ROUND_TRIP_TOL = 1e-9
+
+
+@st.composite
+def full_support_dist(draw):
+    """A score distribution with mass at every point of a drawn scale.
+
+    Where the continuized density is near zero the CDF is flat and its
+    inverse ill-conditioned, so the round trip holds only where it is not."""
+    n = draw(st.integers(1, 40))
+    low = draw(st.integers(-5, 5))
+    weights = np.array(draw(st.lists(st.floats(0.02, 1.0), min_size=n + 1, max_size=n + 1)))
+    return ScoreDistribution(ScoreScale(low, low + n), weights / weights.sum())
 
 
 def scenario_pair(sid, n, seed=0):
@@ -103,6 +126,41 @@ class TestEquateGke:
         pts = sx.points.astype(float)[2:39]
         round_trip = np.array([back(fwd(p)) for p in pts])
         assert np.max(np.abs(round_trip - pts)) < 0.5
+
+    @PROPERTY
+    @given(full_support_dist(), full_support_dist())
+    def test_eg_round_trip_returns_interior_points(self, x, y):
+        # Y -> X uses the same two continuized CDFs as X -> Y, in the other
+        # roles, so composing them inverts the map.  Interior points are those
+        # whose equated value lies on Y's scale, where Y -> X does not clamp it.
+        fwd = equate_gke(one_cell(x, y), PASSTHROUGH).mapping
+        back = equate_gke(one_cell(y, x), PASSTHROUGH).mapping
+        pts = x.scale.points.astype(float)
+        interior = (fwd(pts) >= y.scale.min) & (fwd(pts) <= y.scale.max)
+        round_trip = ComposedMap((fwd, back))(pts[interior])
+        assert np.max(np.abs(round_trip - pts[interior]), initial=0.0) < ROUND_TRIP_TOL
+
+    @PROPERTY
+    @given(st.data())
+    def test_nec_on_identical_tables_gives_identity(self, data):
+        # Cells empty in the table are empty in both populations, and dropped.
+        j, cells = data.draw(st.integers(2, 30)), data.draw(st.integers(2, 6))
+        counts = np.array(data.draw(st.lists(st.integers(0, 20), min_size=j * cells,
+                                             max_size=j * cells))).reshape(j, cells)
+        assume(np.count_nonzero(counts.sum(axis=1)) >= 2)
+        score, cell = np.nonzero(counts)
+        n = counts[score, cell]
+        table = Dataset(ScoreScale(0, j - 1),
+                        CovariateSpace((Categorical("g", tuple(range(cells))),)),
+                        np.repeat(score, n), {"g": np.repeat(cell, n)})
+        config = GkePipelineConfig(presmooth=None, omega=data.draw(st.floats(0.0, 1.0)))
+        result = PipelineSpec("GKE", config=config).run(table, table)
+        # EquatingMap clips the source CDF into [P_TAIL, 1 - P_TAIL], so a point
+        # whose CDF is clipped maps to the target quantile at the clip instead.
+        pts = table.scale.points.astype(float)
+        cdf = kernel_cdf(result.mapping.source_cdf, pts)
+        unclipped = (cdf > P_TAIL) & (cdf < 1.0 - P_TAIL)
+        assert np.max(np.abs(result.equated - pts)[unclipped]) < ROUND_TRIP_TOL
 
     def test_population_role_consistency_nec(self):
         p_data, q_data = scenario_pair(1, 4000, seed=3)
@@ -257,9 +315,16 @@ def test_pipeline_spec_runs_the_direct_call(method):
         direct = equate_gke(NecInput.from_datasets(p_data, q_data, omega=0.4), config)
     else:
         direct = equate_sequential(p_data, q_data, OTHER_SCORE, config)
-    table = PipelineSpec(method, OTHER_SCORE, config).run(p_data, q_data)
+    covariate = OTHER_SCORE if method == "sequential GKE" else None
+    table = PipelineSpec(method, covariate, config).run(p_data, q_data)
     assert table.method == method
     assert np.array_equal(table.equated, direct.equated)
+
+
+@pytest.mark.parametrize("method", ["EG", "GKE"])
+def test_pipeline_spec_rejects_covariate_it_would_ignore(method):
+    with pytest.raises(ValidationError, match="only it, names a covariate"):
+        PipelineSpec(method, OTHER_SCORE)
 
 
 def test_eg_ignores_covariates_and_omega():

@@ -100,6 +100,42 @@ class TestReplicate:
         assert failures == serial_failures
         assert np.array_equal(np.vstack(rows), np.vstack(serial_rows))
 
+    @pytest.mark.parametrize("n, threads, spans", [
+        (2, 8, [(0, 1), (1, 2)]),
+        (3, 64, [(0, 1), (1, 2), (2, 3)]),
+        (40, 3, [(0, 13), (13, 26), (26, 40)]),
+    ])
+    def test_pool_has_one_worker_per_chunk(self, monkeypatch, n, threads, spans):
+        # The executor runs each chunk inline, so no process is started.
+        import concurrent.futures
+
+        opened, submitted = [], []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, start, stop):
+                submitted.append((start, stop))
+                future = concurrent.futures.Future()
+                future.set_result(fn(start, stop))
+                return future
+
+        def chunk(start, stop):
+            return [np.full(3, float(i)) for i in range(start, stop)], []
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        rows, failures = replicate(chunk, n, threads, "things", "thing")
+        assert opened == [len(spans)]
+        assert submitted == spans
+        assert failures == [] and [row[0] for row in rows] == list(range(n))
+
 
 class TestBootstrapSee:
     def test_degenerate_data_gives_exactly_zero(self):
