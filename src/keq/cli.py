@@ -141,7 +141,10 @@ def write_equating_table(table: EquatingTable, path, precision: str = "display",
 
 def read_equating_table(path) -> EquatingTable:
     """Parse a CSV written by :func:`write_equating_table`."""
-    kind, rows = _read_result_csv(path)
+    return _equating_table(path, *_read_result_csv(path))
+
+
+def _equating_table(path, kind: str, rows) -> EquatingTable:
     if kind != "table":
         raise CsvFormatError("not an equating table CSV", path=path)
     first = rows[0][1][0]
@@ -168,7 +171,10 @@ def write_metrics_report(report: MetricsReport, path, precision: str = "display"
 
 def read_metrics_csv(path):
     """Parse a metrics CSV back into per-method vectors plus summary values."""
-    kind, rows = _read_result_csv(path)
+    return _metrics(path, *_read_result_csv(path))
+
+
+def _metrics(path, kind: str, rows):
     if kind != "metrics":
         raise CsvFormatError("not a metrics CSV", path=path)
     per_method, summary = {}, {}
@@ -335,9 +341,11 @@ def _fields(block, kinds: dict, where: str, required=()) -> dict:
 def _json(kind, item=object, count: int | None = None):
     """Conversion that checks a JSON value's type, and a list's item type and
     length (any length if None); a list becomes a tuple.  JSON true and false
-    are not numbers."""
+    are not numbers, and a number must be finite (``json`` reads NaN,
+    Infinity and 1e999)."""
     def _is(value, kind) -> bool:
-        return isinstance(value, kind) and not isinstance(value, bool)
+        return (isinstance(value, kind) and not isinstance(value, bool)
+                and not (isinstance(value, float) and not np.isfinite(value)))
 
     def convert(value):
         if not _is(value, kind) or (kind is list and (
@@ -458,17 +466,17 @@ def cmd_chain(args) -> int:
     return 0
 
 
-def _plot_rows_from_metrics(path) -> list[tuple]:
-    per_method, _ = read_metrics_csv(path)
+def _plot_rows_from_metrics(path, kind: str, rows) -> list[tuple]:
+    per_method, _ = _metrics(path, kind, rows)
     return [(s, method, v, panel) for panel in ("bias", "see", "rmse")
             for method, vecs in per_method.items()
             for s, v in zip(vecs["score"], vecs[panel])]
 
 
-def _plot_rows_from_tables(paths) -> list[tuple]:
+def _plot_rows_from_tables(tables) -> list[tuple]:
     rows, names, scales = [], set(), []
-    for path in paths:
-        table = read_equating_table(path)
+    for path, kind, table_rows in tables:
+        table = _equating_table(path, kind, table_rows)
         series = table.method
         if series in names:
             series = f"{series} ({Path(path).stem})"
@@ -486,10 +494,11 @@ def _plot_rows_from_tables(paths) -> list[tuple]:
 
 
 def cmd_plot_data(args) -> int:
-    kinds = {path: _read_result_csv(path)[0] for path in args.inputs}
-    rows = [row for path in args.inputs if kinds[path] == "metrics"
-            for row in _plot_rows_from_metrics(path)]
-    tables = [p for p, k in kinds.items() if k == "table"]
+    # Each path is read once; a repeated one adds nothing.
+    parsed = [(path, *_read_result_csv(path)) for path in dict.fromkeys(args.inputs)]
+    rows = [row for path, kind, result in parsed if kind == "metrics"
+            for row in _plot_rows_from_metrics(path, kind, result)]
+    tables = [(path, kind, result) for path, kind, result in parsed if kind == "table"]
     rows += _input_phase(_plot_rows_from_tables, tables) if tables else []
     _write_csv(args.out, "x,series,value,panel",
                ((x, series, _fmt(value, "full"), panel) for x, series, value, panel in rows))

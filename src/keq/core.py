@@ -147,8 +147,7 @@ class Categorical:
         except KeyError:
             i, v = _first_missing(items, lookup)
             raise ValidationError(
-                f"dataset: record {i} has undeclared level {v!r} "
-                f"for covariate {self.name!r}"
+                f"record {i}: undeclared level {v!r} for covariate {self.name!r}"
             ) from None
 
 
@@ -169,6 +168,8 @@ class Binned:
         object.__setattr__(self, "thresholds", ts)
         if len(ts) < 2:
             raise ValidationError(f"binned {self.name!r} needs at least 2 thresholds")
+        if not all(np.isfinite(ts)):
+            raise ValidationError(f"binned {self.name!r}: thresholds must be finite")
         if any(a >= b for a, b in zip(ts, ts[1:])):
             raise ValidationError(f"binned {self.name!r}: thresholds must ascend")
 
@@ -446,17 +447,10 @@ class TokenColumn:
 @dataclass(frozen=True)
 class RawPersonTable:
     """Parsed person CSV: integer scores plus each covariate column's
-    stripped tokens as a :class:`TokenColumn` (a plain sequence of tokens
-    is encoded on construction)."""
+    stripped tokens as a :class:`TokenColumn`."""
 
     scores: np.ndarray
     columns: dict[str, TokenColumn]
-
-    def __post_init__(self):
-        object.__setattr__(self, "columns", {
-            name: col if isinstance(col, TokenColumn) else TokenColumn.encode(col)
-            for name, col in self.columns.items()
-        })
 
     @property
     def n(self) -> int:
@@ -552,7 +546,8 @@ def _body_by_rows(rows, path, n_fields: int, score_pos: int, cov_pos: dict) -> R
             columns[c].append(value)
     if not scores:
         raise CsvFormatError("no data rows", line=2, path=path)
-    return RawPersonTable(np.asarray(scores, dtype=np.int64), columns)
+    return RawPersonTable(np.asarray(scores, dtype=np.int64),
+                          {c: TokenColumn.encode(tokens) for c, tokens in columns.items()})
 
 
 def _columnar_body(data: bytes, n_fields: int, score_pos: int,
@@ -618,7 +613,9 @@ def coerce_dataset(raw: RawPersonTable, scale: ScoreScale,
     """Convert raw token columns to typed ones and build a validated Dataset.
 
     Each distinct token is converted once and the values are gathered by
-    code; an error names the first record holding a bad token."""
+    code; an error names the first record holding a bad token.  A token
+    that names no declared level passes through unchanged, for the
+    Dataset to reject."""
     columns: dict[str, np.ndarray] = {}
     for v in covariates.variables:
         col = raw.columns.get(v.name)
@@ -635,14 +632,7 @@ def coerce_dataset(raw: RawPersonTable, scale: ScoreScale,
             values = np.array([float(t) for t in col.tokens], dtype=float)
         else:
             lookup = {str(level): level for level in v.levels}
-            bad = np.array([t not in lookup for t in col.tokens], dtype=bool)
-            if bad.any():
-                i = col.first_record(bad)
-                raise ValidationError(
-                    f"record {i}: undeclared level {col.tokens[col.codes[i]]!r} "
-                    f"for covariate {v.name!r}"
-                )
-            values = np.fromiter(map(lookup.__getitem__, col.tokens), dtype=object,
+            values = np.fromiter((lookup.get(t, t) for t in col.tokens), dtype=object,
                                  count=len(col.tokens))
         columns[v.name] = values[col.codes]
     return Dataset(scale, covariates, raw.scores, columns)

@@ -93,8 +93,6 @@ class NecInput:
     @classmethod
     def from_datasets(cls, p_data: Dataset, q_data: Dataset,
                       omega: float | None = None) -> "NecInput":
-        if p_data.covariates != q_data.covariates:
-            raise ValidationError("populations do not share a covariate space")
         pc = tabulate_counts(p_data)
         qc = tabulate_counts(q_data)
         if omega is None:

@@ -34,11 +34,15 @@ def bias(replicate_values, truth) -> np.ndarray:
 
 
 def mc_see(replicate_values) -> np.ndarray:
-    """Per-point sample standard deviation across replications (R >= 2)."""
+    """Per-point sample standard deviation across replications (R >= 2);
+    exactly zero at a point where every replication agrees."""
     m = _replicate_matrix(replicate_values)
     if m.shape[0] < 2:
         raise ValidationError("need at least 2 replications for SEE")
-    return m.std(axis=0, ddof=1)
+    see = m.std(axis=0, ddof=1)
+    # Identical replicate columns must yield exactly zero, not rounding fuzz.
+    see[np.ptp(m, axis=0) == 0.0] = 0.0
+    return see
 
 
 def rmse(bias_vec, see_vec) -> np.ndarray:

@@ -71,8 +71,6 @@ class LoglinearSpec:
 
 @dataclass(frozen=True)
 class FittedLoglinear:
-    spec: LoglinearSpec
-    coefficients: np.ndarray
     fitted_probs: JointProbabilityTable
     converged: bool
     iterations: int
@@ -155,7 +153,7 @@ class _Design:
 
 
 def _factored_design(scale: ScoreScale, covariates: CovariateSpace,
-                     spec: LoglinearSpec, allow_saturated: bool = False) -> _Design:
+                     spec: LoglinearSpec) -> _Design:
     """The presmoothing design of ``build_design_matrix`` in factored form."""
     J, L = scale.n_points, covariates.n_cells
     x = scale.points.astype(float)
@@ -172,7 +170,7 @@ def _factored_design(scale: ScoreScale, covariates: CovariateSpace,
     b = np.concatenate([np.zeros(spec.score_degree + 1, dtype=int), coded,
                         np.tile(coded, spec.interaction_degree)])
     m = len(a)
-    if m > J * L or (m == J * L and not allow_saturated):
+    if m >= J * L:
         raise ValidationError(
             f"model not identifiable: {m} parameters for {J * L} cells"
         )
@@ -180,7 +178,7 @@ def _factored_design(scale: ScoreScale, covariates: CovariateSpace,
 
 
 def build_design_matrix(scale: ScoreScale, covariates: CovariateSpace,
-                        spec: LoglinearSpec, allow_saturated: bool = False) -> np.ndarray:
+                        spec: LoglinearSpec) -> np.ndarray:
     """Design matrix with one row per (score point, covariate cell).
 
     Rows are ordered score-major (row j*L + l pairs with a row-major
@@ -189,7 +187,7 @@ def build_design_matrix(scale: ScoreScale, covariates: CovariateSpace,
     columns (first level/cell as reference), then score power x
     covariate interaction columns.
     """
-    return _factored_design(scale, covariates, spec, allow_saturated).dense()
+    return _factored_design(scale, covariates, spec).dense()
 
 
 def _deviance(y: np.ndarray, mu: np.ndarray) -> float:
@@ -208,7 +206,7 @@ def _solve_pos(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def fit_loglinear(counts: np.ndarray, design: np.ndarray | _Design, scale: ScoreScale,
                   covariates: CovariateSpace, tol: float = 1e-8,
-                  max_iter: int = 100, spec: LoglinearSpec | None = None) -> FittedLoglinear:
+                  max_iter: int = 100) -> FittedLoglinear:
     """Poisson MLE of the log-linear model for a J x L count table.
 
     ``design`` is a row matrix (one row per score-major table entry) or
@@ -298,7 +296,7 @@ def fit_loglinear(counts: np.ndarray, design: np.ndarray | _Design, scale: Score
     probs = (mu / mu.sum()).reshape(scale.n_points, covariates.n_cells)
     table = JointProbabilityTable(scale, covariates, probs)
     return FittedLoglinear(
-        spec=spec, coefficients=beta, fitted_probs=table,
+        fitted_probs=table,
         converged=converged, iterations=iterations, deviance=dev,
         score_residual=max_score / total, step_halvings=halvings, warning=warning,
     )
@@ -308,4 +306,4 @@ def presmooth_counts(counts: np.ndarray, scale: ScoreScale,
                      covariates: CovariateSpace, spec: LoglinearSpec) -> FittedLoglinear:
     """Build the design for ``spec`` and fit it to the count table."""
     design = _factored_design(scale, covariates, spec)
-    return fit_loglinear(counts, design, scale, covariates, spec=spec)
+    return fit_loglinear(counts, design, scale, covariates)

@@ -137,6 +137,11 @@ class GeneratorParams:
 
     def __post_init__(self):
         self.scale()  # an empty or non-integer score range is a ValidationError
+        self.covariate_space()  # and so are thresholds that do not ascend
+        if not (self.covariate_sd > 0.0 and self.error_sd > 0.0):
+            raise ValidationError("covariate_sd and error_sd must be positive")
+        if not self.covariate_range[0] < self.covariate_range[1]:
+            raise ValidationError(f"covariate_range {list(self.covariate_range)} must ascend")
 
     def scale(self) -> ScoreScale:
         return ScoreScale(*self.score_range)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .core import Dataset, KeqError, ValidationError, substream
 from .equate import PipelineSpec  # re-exported
+from .metrics import mc_see
 
 __all__ = ["BootstrapConfig", "PipelineSpec", "BootstrapResult",
            "bootstrap_replicates", "bootstrap_see", "replicate"]
@@ -90,9 +91,13 @@ class BootstrapConfig:
 
 @dataclass(frozen=True)
 class BootstrapResult:
-    see: np.ndarray
     replicates: np.ndarray  # (successful replicates) x (score points)
     failures: tuple = ()  # (replicate index, message) of each failed replicate
+
+    @property
+    def see(self) -> np.ndarray:
+        """SEE at every score point: the replicates' sample standard deviation."""
+        return mc_see(self.replicates)
 
     @property
     def n_failed(self) -> int:
@@ -133,10 +138,4 @@ def bootstrap_see(p_data: Dataset, q_data: Dataset, pipeline,
     chunk = partial(bootstrap_replicates, p_data, q_data, pipeline, config)
     rows, failures = replicate(chunk, config.replicates, threads,
                                "bootstrap replicates", "replicate")
-    if len(rows) < 2:
-        raise KeqError("fewer than 2 successful bootstrap replicates")
-    matrix = np.vstack(rows)
-    see = matrix.std(axis=0, ddof=1)
-    # Identical replicate columns must yield exactly zero, not rounding fuzz.
-    see[np.ptp(matrix, axis=0) == 0.0] = 0.0
-    return BootstrapResult(see, matrix, tuple(failures))
+    return BootstrapResult(np.vstack(rows), tuple(failures))

@@ -198,7 +198,7 @@ def test_criterion_07_presmoothing_moment_matching():
     all_converged = True
     for counts, scale, covs, spec in cases:
         design = build_design_matrix(scale, covs, spec)
-        fit = fit_loglinear(counts, design, scale, covs, spec=spec)
+        fit = fit_loglinear(counts, design, scale, covs)
         all_converged &= fit.converged
         n = counts.sum()
         fitted = fit.fitted_probs.probs.reshape(-1) * n

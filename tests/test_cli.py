@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import csv
 import importlib
 import json
@@ -15,15 +16,26 @@ import pytest
 
 import keq
 from keq.cli import (
+    build_parser,
     main,
     read_equating_table,
     read_metrics_csv,
     write_equating_table,
     write_metrics_report,
 )
-from keq.core import EquatingTable, ScoreScale
+from keq.core import (
+    Binned,
+    Categorical,
+    CovariateSpace,
+    EquatingTable,
+    ScoreScale,
+    coerce_dataset,
+    read_person_csv,
+)
+from keq.equate import GkePipelineConfig, PipelineSpec
 from keq.metrics import MetricsReport
-from keq.simulate import ScenarioSpec, gen_population
+from keq.presmooth import LoglinearSpec
+from keq.simulate import METHOD_SEQ, GeneratorParams, ScenarioSpec, gen_population, run_scenario
 
 
 def write_person_csv(path, dataset):
@@ -64,6 +76,38 @@ class TestCmdEquate:
         assert table.method == "GKE"
         assert table.source_scale == ScoreScale(0, 100)
         assert np.all(np.diff(table.equated) >= -1e-9)
+
+    @pytest.mark.parametrize("flags, config", [
+        (["--presmooth-degree", "4"], GkePipelineConfig(presmooth=LoglinearSpec(score_degree=4))),
+        (["--interaction-degree", "2"],
+         GkePipelineConfig(presmooth=LoglinearSpec(interaction_degree=2))),
+        (["--covariate-terms", "variables"],
+         GkePipelineConfig(presmooth=LoglinearSpec(covariate_terms="variables"))),
+        (["--bandwidth-y", "0.8"], GkePipelineConfig(bandwidth_y=0.8)),
+        (["--score", "total"], GkePipelineConfig()),
+    ], ids=["presmooth-degree", "interaction-degree", "covariate-terms", "bandwidth-y",
+            "score"])
+    def test_flag_matches_library_call(self, person_files, tmp_path, flags, config):
+        paths = person_files
+        score = "score"
+        if flags[0] == "--score":
+            score = flags[1]
+            paths = [tmp_path / f"renamed_{path.name}" for path in person_files]
+            for old, new in zip(person_files, paths):
+                text = old.read_text(encoding="utf-8")
+                new.write_text(text.replace("score", score, 1), encoding="utf-8")
+        out = tmp_path / "cli.csv"
+        assert main(["equate", "--design", "nec", "--p", str(paths[0]), "--q", str(paths[1]),
+                     *NEC_FLAGS, *flags, "--precision", "full", "--out", str(out)]) == 0
+        space = CovariateSpace((Categorical("school", ("0", "1")),
+                                Categorical("attempt", ("0", "1")),
+                                Binned("other_score", (50, 60, 70, 80, 100))))
+        p, q = (coerce_dataset(read_person_csv(path, score_column=score), ScoreScale(0, 100),
+                               space) for path in paths)
+        expected = PipelineSpec("GKE", config=config).run(p, q).equated
+        assert np.array_equal(read_equating_table(out).equated, expected)
+        if flags[0] != "--score":  # the flag changes the result
+            assert not np.array_equal(expected, PipelineSpec("GKE").run(p, q).equated)
 
     def test_unconverged_presmoothing_warns_on_stderr(self, person_files, tmp_path,
                                                      capsys, monkeypatch):
@@ -219,6 +263,16 @@ class TestCmdEquate:
         assert "KEQ_THREADS" in capsys.readouterr().err
         assert main([*argv, "--threads", "1"]) == 0
 
+    def test_non_finite_bin_threshold_exits_2(self, person_files, tmp_path, capsys):
+        p_path, q_path = person_files
+        code = main(["equate", "--design", "nec", "--p", str(p_path), "--q", str(q_path),
+                     "--covariates", "other_score", "--bin", "other_score=nan,60",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert one_line_error(capsys) == (
+            "error: binned 'other_score': thresholds must be finite\n")
+        assert not (tmp_path / "o.csv").exists()
+
     def test_too_few_bootstrap_replicates_exits_2(self, person_files, tmp_path, capsys):
         p_path, q_path = person_files
         code = main(["equate", "--design", "eg", "--p", str(p_path), "--q", str(q_path),
@@ -253,6 +307,27 @@ def exit_code(argv) -> int:
         return main(argv)
     except SystemExit as exc:
         return exc.code
+
+
+def test_every_option_is_listed():
+    """Each subcommand's options (38 in all), so that adding one edits this list."""
+    expected = {
+        "equate": ["--design", "--p", "--q", "--score", "--covariates", "--bin", "--scale",
+                   "--omega", "--kpen", "--bandwidth-x", "--bandwidth-y", "--no-presmooth",
+                   "--presmooth-degree", "--interaction-degree", "--covariate-terms",
+                   "--equate-covariate", "--bootstrap", "--dump-replicates", "--seed",
+                   "--threads", "--precision", "--verbose", "--out"],
+        "simulate": ["--scenario", "--scenario-config", "--reps", "--seed", "--methods",
+                     "--score-range", "--threads", "--precision", "--out"],
+        "chain": ["--plan", "--precision", "--out-dir"],
+        "plot-data": ["inputs", "--out", "--svg"],
+    }
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    listed = {name: [a.option_strings[0] if a.option_strings else a.dest
+                     for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+              for name, sub in commands.items()}
+    assert listed == expected
 
 
 def test_import_and_equate_run_load_no_scipy(person_files, tmp_path):
@@ -355,8 +430,14 @@ class TestCmdSimulate:
         ({"n": 800, "covariate_shift": "10"}, "bad covariate_shift '10'"),
         ({"n": 300.7}, "bad n 300.7"),
         ({"n": 800, "id": 2.5}, "bad id 2.5"),
+        ({"n": 800, "covariate_shift": float("nan")}, "bad covariate_shift nan"),
+        ({"n": 800, "alpha": float("inf")}, "bad alpha inf"),
+        ({"n": 800, "generator": {"error_sd": -1.0}}, "error_sd must be positive"),
+        ({"n": 800, "generator": {"covariate_range": [100.0, 0.0]}},
+         "covariate_range [100.0, 0.0] must ascend"),
     ], ids=["generator-key", "score-range", "pop-p", "no-n", "n", "array",
-            "alpha-bool", "generator-bool", "shift-string", "n-fraction", "id-fraction"])
+            "alpha-bool", "generator-bool", "shift-string", "n-fraction", "id-fraction",
+            "shift-nan", "alpha-infinity", "negative-sd", "descending-range"])
     def test_malformed_scenario_config_exits_2(self, tmp_path, capsys, config, named):
         cfg_path = tmp_path / "scenario.json"
         cfg_path.write_text(json.dumps(config), encoding="utf-8")
@@ -364,6 +445,17 @@ class TestCmdSimulate:
                      "--out", str(tmp_path / "m.csv")])
         assert code == 2
         assert named in one_line_error(capsys)
+
+    def test_methods_flag_matches_library_call(self, tmp_path):
+        out, direct = tmp_path / "cli.csv", tmp_path / "direct.csv"
+        assert main(["simulate", "--scenario", "1", "--reps", "2", "--seed", "4",
+                     "--score-range", "0,60", "--methods", "seq", "--precision", "full",
+                     "--out", str(out)]) == 0
+        report = run_scenario(ScenarioSpec.from_table(1), 2, methods=(METHOD_SEQ,), seed=4,
+                              params=GeneratorParams(score_range=(0, 60)))
+        write_metrics_report(report, direct, "full")
+        assert out.read_bytes() == direct.read_bytes()
+        assert list(read_metrics_csv(out)[0]) == ["sequential GKE"]
 
     def test_scenario_flags_are_exclusive(self, tmp_path):
         assert main(["simulate", "--reps", "2",
@@ -497,12 +589,15 @@ class TestCmdChain:
         (lambda plan: plan["covariates"].update(
             nl={"type": "binned", "thresholds": ["low", "high"]}),
          "bad thresholds ['low', 'high']"),
+        (lambda plan: plan["covariates"].update(
+            nl={"type": "binned", "thresholds": [float("nan"), 60]}),
+         "bad thresholds [nan, 60]"),
         (lambda plan: plan["steps"][2].update(omega=True), "step 2: bad omega True"),
         (lambda plan: plan["steps"][2].update(equated_covariates={"school": []}),
          "step 'f2017->s2017': equated_covariates gives 'school' no step ids"),
     ], ids=["step-covariates", "equated-covariates", "target-equated-covariates",
             "equated-step-id", "categorical-equated", "categorical-target-equated",
-            "no-source", "scale", "datasets-list", "thresholds", "omega-bool",
+            "no-source", "scale", "datasets-list", "thresholds", "nan-threshold", "omega-bool",
             "empty-step-ids"])
     def test_malformed_plan_exits_2(self, tmp_path, capsys, edit, named):
         plan_path = write_chain_fixture(tmp_path)
@@ -564,6 +659,24 @@ class TestCmdPlotData:
         series = {line.split(",")[1] for line in lines}
         assert series == {"GKE", "GKE +see", "GKE -see", "sequential GKE",
                           "identity"}
+
+    def test_repeated_input_is_read_once(self, tmp_path, monkeypatch):
+        metrics = tmp_path / "metrics.csv"
+        assert main(["simulate", "--scenario", "1", "--reps", "2", "--seed", "2",
+                     "--score-range", "0,60", "--out", str(metrics)]) == 0
+        table = tmp_path / "t.csv"
+        write_equating_table(EquatingTable(ScoreScale(0, 4), [0.5, 1.4, 2.5, 3.6, 4.4]),
+                             table, "full")
+        reads = []
+        read = keq.cli._read_result_csv
+        monkeypatch.setattr(keq.cli, "_read_result_csv",
+                            lambda path: reads.append(path) or read(path))
+        once, twice = tmp_path / "once.csv", tmp_path / "twice.csv"
+        assert main(["plot-data", str(metrics), str(table), "--out", str(once)]) == 0
+        assert reads == [str(metrics), str(table)]
+        assert main(["plot-data", str(table), str(metrics), str(table), str(metrics),
+                     "--out", str(twice)]) == 0
+        assert once.read_bytes() == twice.read_bytes()
 
     def test_malformed_input_exits_2(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -20,6 +20,7 @@ from keq.core import (
     RawPersonTable,
     ScoreDistribution,
     ScoreScale,
+    TokenColumn,
     ValidationError,
     coerce_dataset,
     discretize,
@@ -130,7 +131,7 @@ class TestLevelIndices:
     @pytest.mark.parametrize("levels, values", CASES)
     def test_names_first_undeclared_record(self, levels, values):
         bad = values.tolist()[4]
-        with pytest.raises(ValidationError, match=f"record 4 has undeclared level {bad!r} "):
+        with pytest.raises(ValidationError, match=f"record 4: undeclared level {bad!r} "):
             Categorical("g", levels).level_indices(values)
         with pytest.raises(ValidationError, match="record 4"):
             Dataset(ScoreScale(0, 9), CovariateSpace((Categorical("g", levels),)),
@@ -317,7 +318,7 @@ class TestPersonCsv:
 
     def test_coerce_names_first_undeclared_record(self):
         raw = RawPersonTable(np.array([1, 2, 3, 4, 5]),
-                             {"school": ["a", "b", "zz", "b", "yy"]})
+                             {"school": TokenColumn.encode(["a", "b", "zz", "b", "yy"])})
         space = CovariateSpace((Categorical("school", ("a", "b")),))
         with pytest.raises(ValidationError, match="record 2: undeclared level 'zz'"):
             coerce_dataset(raw, ScoreScale(0, 5), space)

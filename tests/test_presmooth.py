@@ -47,9 +47,8 @@ def full_space():
 class TestDesignMatrix:
     def test_minimal_dimensions(self):
         spec = LoglinearSpec(score_degree=1, interaction_degree=1)
-        design = build_design_matrix(ScoreScale(0, 1), small_space(), spec,
-                                     allow_saturated=True)
-        assert design.shape == (4, 4)  # intercept, score, dummy, score*dummy
+        design = build_design_matrix(ScoreScale(0, 2), small_space(), spec)
+        assert design.shape == (6, 4)  # intercept, score, dummy, score*dummy
 
     def test_study_default_dimensions(self):
         spec = LoglinearSpec(score_degree=6, interaction_degree=1,
@@ -165,8 +164,9 @@ class TestFit:
         scale = ScoreScale(0, 1)
         space = small_space()
         counts = np.array([[3.0, 7.0], [5.0, 11.0]])
-        spec = LoglinearSpec(score_degree=1, interaction_degree=1)
-        design = build_design_matrix(scale, space, spec, allow_saturated=True)
+        # Intercept, score, dummy and score*dummy: one parameter per cell.
+        design = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0],
+                           [1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
         fit = fit_loglinear(counts, design, scale, space)
         assert np.allclose(fit.fitted_probs.probs, counts / counts.sum(), atol=1e-9)
 
@@ -192,7 +192,7 @@ class TestFit:
         counts = rng.poisson(6.0, size=(21, 3)).astype(float)
         spec = LoglinearSpec(score_degree=4, interaction_degree=1)
         design = build_design_matrix(scale, space, spec)
-        fit = fit_loglinear(counts, design, scale, space, spec=spec)
+        fit = fit_loglinear(counts, design, scale, space)
         assert fit.converged
         n = counts.sum()
         fitted = fit.fitted_probs.probs.reshape(-1) * n
