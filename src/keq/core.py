@@ -181,9 +181,7 @@ class Binned:
         values = np.asarray(values, dtype=float)
         if not np.all(np.isfinite(values)):
             bad = int(np.argmax(~np.isfinite(values)))
-            raise ValidationError(
-                f"dataset: record {bad} has non-finite value for {self.name!r}"
-            )
+            raise ValidationError(f"record {bad}: non-finite value for covariate {self.name!r}")
         return discretize(values, self.thresholds)
 
 
@@ -360,13 +358,6 @@ class Dataset:
         )
         return Dataset(self.scale, space, self.scores,
                        {name: self.columns[name] for name in space.names})
-
-    def with_column(self, name: str, values: np.ndarray) -> "Dataset":
-        if name not in self.columns:
-            raise ValidationError(f"unknown covariate column {name!r}")
-        cols = dict(self.columns)
-        cols[name] = np.asarray(values)
-        return Dataset(self.scale, self.covariates, self.scores, cols)
 
 
 def tabulate_counts(dataset: Dataset) -> np.ndarray:

@@ -74,6 +74,11 @@ class GkePipelineConfig:
     bandwidth_y: float | None = None
 
 
+def _require_shared_space(p, q) -> None:
+    if p.covariates != q.covariates:
+        raise ValidationError("populations do not share a covariate space")
+
+
 @dataclass(frozen=True)
 class NecInput:
     """Nonequivalent groups with covariates: joint tables plus mixture weight."""
@@ -87,8 +92,7 @@ class NecInput:
     def __post_init__(self):
         if not 0.0 <= self.omega <= 1.0:
             raise ValidationError(f"omega {self.omega} outside [0, 1]")
-        if self.p.covariates != self.q.covariates:
-            raise ValidationError("populations do not share a covariate space")
+        _require_shared_space(self.p, self.q)
 
     @classmethod
     def from_datasets(cls, p_data: Dataset, q_data: Dataset,
@@ -139,20 +143,18 @@ class ComposedMap:
         return out
 
 
-def _evaluate_unique(mapping, values: np.ndarray) -> np.ndarray:
-    """Apply a map to an array, evaluating each distinct value once."""
-    uniq, inverse = np.unique(np.asarray(values, dtype=float), return_inverse=True)
-    return np.asarray(mapping(uniq))[inverse]
-
-
 def _through_maps(data: Dataset, maps: dict) -> Dataset:
-    """``data`` with each column in ``maps`` pushed through its maps, each distinct value once."""
+    """``data`` with each column in ``maps`` sent through its chain of maps, in one
+    new dataset; each distinct value goes through the chain once."""
+    columns = dict(data.columns)
     for name, chain in maps.items():
-        values = data.columns[name]
+        if name not in columns:
+            raise ValidationError(f"unknown covariate column {name!r}")
+        values, inverse = np.unique(np.asarray(columns[name], dtype=float), return_inverse=True)
         for mapping in chain:
-            values = _evaluate_unique(mapping, values)
-        data = data.with_column(name, values)
-    return data
+            values = mapping(values)
+        columns[name] = np.asarray(values)[inverse]
+    return Dataset(data.scale, data.covariates, data.scores, columns) if maps else data
 
 
 def _fit_summary(fit) -> dict:
@@ -213,13 +215,6 @@ def equate_gke(nec: NecInput, config: GkePipelineConfig | None = None,
 # Sequential equating: covariate first, then the primary scores
 # ---------------------------------------------------------------------------
 
-def _covariate_subdataset(data: Dataset, covariate: str, scale) -> Dataset:
-    """``covariate`` as the score, with the other covariates as the covariates."""
-    space = CovariateSpace(tuple(v for v in data.covariates.variables if v.name != covariate))
-    return Dataset(scale, space, np.round(data.columns[covariate]).astype(int),
-                   {name: data.columns[name] for name in space.names})
-
-
 def equate_covariate(p_data: Dataset, q_data: Dataset, covariate: str,
                      config: GkePipelineConfig | None = None):
     """Equate a score-like covariate from the second population onto the first.
@@ -239,28 +234,32 @@ def equate_covariate(p_data: Dataset, q_data: Dataset, covariate: str,
     passed on.
     """
     config = config or GkePipelineConfig()
-    for data, label in ((p_data, "first"), (q_data, "second")):
-        var = next((v for v in data.covariates.variables if v.name == covariate), None)
-        if var is None:
-            raise ValidationError(f"unknown covariate {covariate!r} in {label} dataset")
-        if not isinstance(var, Binned):
-            raise ValidationError(
-                f"covariate {covariate!r} must be a binned (score-like) variable"
-            )
-        values = np.asarray(data.columns[covariate], dtype=float)
-        if not np.all(values == np.round(values)):
-            raise ValidationError(f"covariate {covariate!r} not integer-valued")
-
-    lo = int(min(p_data.columns[covariate].min(), q_data.columns[covariate].min()))
-    hi = int(max(p_data.columns[covariate].max(), q_data.columns[covariate].max()))
-    cov_scale = ScoreScale(lo, hi)
-    p_sub = _covariate_subdataset(p_data, covariate, cov_scale)
-    q_sub = _covariate_subdataset(q_data, covariate, cov_scale)
+    _require_shared_space(p_data, q_data)
+    var = next((v for v in p_data.covariates.variables if v.name == covariate), None)
+    if var is None:
+        raise ValidationError(f"unknown covariate {covariate!r} in first dataset")
+    if not isinstance(var, Binned):
+        raise ValidationError(f"covariate {covariate!r} must be a binned (score-like) variable")
+    values = np.concatenate([p_data.columns[covariate], q_data.columns[covariate]]).astype(float)
+    if not np.all(values == np.round(values)):
+        raise ValidationError(f"covariate {covariate!r} not integer-valued")
+    cov_scale = ScoreScale(values.min(), values.max())
+    # The covariate is the score; the other covariates are the covariates.
+    space = CovariateSpace(tuple(v for v in p_data.covariates.variables if v is not var))
+    p_sub, q_sub = (Dataset(cov_scale, space, data.columns[covariate],
+                            {name: data.columns[name] for name in space.names})
+                    for data in (p_data, q_data))
 
     # Roles swap: the second population is the source of the covariate map.
     omega_cov = (1.0 - config.omega) if config.omega is not None else None
-    nested = NecInput.from_datasets(q_sub, p_sub, omega=omega_cov)
-    table = equate_gke(nested, replace(config, bandwidth_x=None, bandwidth_y=None))
+    try:
+        nested = NecInput.from_datasets(q_sub, p_sub, omega=omega_cov)
+        table = equate_gke(nested, replace(config, bandwidth_x=None, bandwidth_y=None))
+    except KeqError as exc:
+        # Prefixed in place: the class, and so the CLI's exit code, stays.
+        exc.args = (f"covariate run for {covariate!r} on [{cov_scale.min}, {cov_scale.max}]: "
+                    f"{exc}",)
+        raise
     return table, _through_maps(q_data, {covariate: (table.mapping,)})
 
 

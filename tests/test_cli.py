@@ -331,17 +331,26 @@ def test_every_option_is_listed():
 
 
 def test_import_and_equate_run_load_no_scipy(person_files, tmp_path):
+    # In a fresh interpreter, after numpy: the standard modules that `import keq`
+    # and then `import keq.cli` add, and that an equate run loads no scipy.
     src = str(Path(keq.__file__).resolve().parents[1])
     p_path, q_path = person_files
     argv = ["equate", "--design", "nec", "--p", str(p_path), "--q", str(q_path),
             *NEC_FLAGS, "--out", str(tmp_path / "o.csv")]
-    code = ("import sys, keq, keq.cli; "
-            f"assert keq.cli.main({argv!r}) == 0; "
+    added = ("loaded = set(sys.modules); import {}; "
+             "print(sorted(m for m in set(sys.modules) - loaded if m.split('.')[0] != 'keq')); ")
+    code = ("import sys, numpy; " + added.format("keq") + added.format("keq.cli")
+            + f"assert keq.cli.main({argv!r}) == 0; "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('scipy', 'multiprocessing')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == [
+        str(['__future__', '_csv', '_heapq', 'copy', 'csv', 'dataclasses', 'graphlib', 'heapq']),
+        str(['_json', 'argparse', 'gettext', 'json', 'json.decoder', 'json.encoder',
+             'json.scanner']),
+        "[]",
+    ]
 
 
 def test_exported_names_resolve_and_no_package_name_shadows_a_module():
@@ -445,6 +454,19 @@ class TestCmdSimulate:
                      "--out", str(tmp_path / "m.csv")])
         assert code == 2
         assert named in one_line_error(capsys)
+
+    def test_failing_covariate_run_names_the_covariate(self, tmp_path, capsys):
+        # Every generated covariate clips to 100, so the covariate run has one point.
+        cfg_path = tmp_path / "scenario.json"
+        cfg_path.write_text(json.dumps({"n": 2000, "generator": {"covariate_mean": 500}}),
+                            encoding="utf-8")
+        argv = ["simulate", "--scenario-config", str(cfg_path), "--reps", "2",
+                "--out", str(tmp_path / "m.csv")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "pipeline error: 2 of 2 replications failed; first: rep 0: covariate run for "
+            "'other_score' on [100, 100]: model not identifiable: 13 parameters for 4 cells\n")
+        assert main([*argv, "--methods", "gke"]) == 0
 
     def test_methods_flag_matches_library_call(self, tmp_path):
         out, direct = tmp_path / "cli.csv", tmp_path / "direct.csv"
@@ -551,6 +573,32 @@ class TestCmdChain:
         direct_table = read_equating_table(direct)
         assert np.allclose(chain_table.equated, direct_table.equated, atol=1e-12)
 
+    def test_binned_plan_covariate_matches_cmd_equate(self, tmp_path):
+        # README's plan shape: a binned covariate "nl", here also one of the nec step's.
+        plan_path = write_chain_fixture(tmp_path)
+        plan = json.loads(plan_path.read_text(encoding="utf-8"))
+        plan["covariates"]["nl"] = {"type": "binned", "thresholds": [50, 60, 70, 80, 100]}
+        plan["steps"][2]["covariates"].append("nl")
+        plan_path.write_text(json.dumps(plan), encoding="utf-8")
+        rng = np.random.default_rng(4)
+        for rel in plan["datasets"].values():
+            lines = (tmp_path / rel).read_text(encoding="utf-8").splitlines()
+            nl = ["nl", *map(str, rng.integers(40, 101, size=len(lines) - 1))]
+            (tmp_path / rel).write_text("".join(f"{line},{v}\n" for line, v in zip(lines, nl)),
+                                        encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert main(["chain", "--plan", str(plan_path),
+                     "--out-dir", str(out_dir), "--precision", "full"]) == 0
+        direct = tmp_path / "direct.csv"
+        assert main(["equate", "--design", "nec",
+                     "--p", str(tmp_path / "f2017.csv"),
+                     "--q", str(tmp_path / "s2017.csv"),
+                     "--covariates", "school,nl", "--bin", "nl=50,60,70,80,100",
+                     "--scale", "0,50", "--out", str(direct), "--precision", "full"]) == 0
+        chain_table = read_equating_table(out_dir / "step_f2017-_s2017.csv")
+        assert np.allclose(chain_table.equated, read_equating_table(direct).equated,
+                           atol=1e-12)
+
     def test_cyclic_plan_exits_2(self, tmp_path, capsys):
         plan_path = write_chain_fixture(tmp_path, cyclic=True)
         code = main(["chain", "--plan", str(plan_path),
@@ -595,10 +643,14 @@ class TestCmdChain:
         (lambda plan: plan["steps"][2].update(omega=True), "step 2: bad omega True"),
         (lambda plan: plan["steps"][2].update(equated_covariates={"school": []}),
          "step 'f2017->s2017': equated_covariates gives 'school' no step ids"),
+        (lambda plan: plan["covariates"]["school"].update(levels=[0]),
+         "record 0: undeclared level '1' for covariate 'school'"),
+        (lambda plan: plan["covariates"]["school"].update(type="ordinal"),
+         "covariate 'school': unknown type 'ordinal'"),
     ], ids=["step-covariates", "equated-covariates", "target-equated-covariates",
             "equated-step-id", "categorical-equated", "categorical-target-equated",
             "no-source", "scale", "datasets-list", "thresholds", "nan-threshold", "omega-bool",
-            "empty-step-ids"])
+            "empty-step-ids", "undeclared-level", "unknown-type"])
     def test_malformed_plan_exits_2(self, tmp_path, capsys, edit, named):
         plan_path = write_chain_fixture(tmp_path)
         plan = json.loads(plan_path.read_text(encoding="utf-8"))

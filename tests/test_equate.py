@@ -199,9 +199,8 @@ class TestEquateCovariate:
 
     def test_deterministic_shift_recovered(self):
         p_data, _ = scenario_pair(1, 20_000, seed=6)
-        q_data = p_data.with_column(
-            OTHER_SCORE, np.asarray(p_data.columns[OTHER_SCORE]) + 10
-        )
+        q_data = Dataset(p_data.scale, p_data.covariates, p_data.scores,
+                         {**p_data.columns, OTHER_SCORE: p_data.columns[OTHER_SCORE] + 10})
         nested, _ = equate_covariate(p_data, q_data, OTHER_SCORE, config=PASSTHROUGH)
         values = np.asarray(q_data.columns[OTHER_SCORE], dtype=float)
         lo, hi = np.quantile(values, [0.05, 0.95])
@@ -250,9 +249,8 @@ class TestEquateCovariate:
 
     def test_non_integer_covariate_rejected(self):
         p_data, q_data = scenario_pair(1, 500, seed=7)
-        q_bad = q_data.with_column(
-            OTHER_SCORE, np.asarray(q_data.columns[OTHER_SCORE]) + 0.25
-        )
+        q_bad = Dataset(q_data.scale, q_data.covariates, q_data.scores,
+                        {**q_data.columns, OTHER_SCORE: q_data.columns[OTHER_SCORE] + 0.25})
         with pytest.raises(ValidationError, match="integer"):
             equate_covariate(p_data, q_bad, OTHER_SCORE)
 
@@ -524,3 +522,33 @@ class TestEquateChain:
         assert (np.abs(aligned.equated[mid] - identity).mean()
                 < np.abs(raw.equated[mid] - identity).mean())
         assert np.max(np.abs(aligned.equated[mid] - identity)) < 3.0
+
+    def test_equated_covariates_equal_maps_applied_record_by_record(self):
+        # One and two maps (the same step twice included), on the source and
+        # on the target; the reference sends each whole column through each map.
+        forms = dict(zip("pqrs", (*scenario_pair(5, 2000, seed=21),
+                                  *scenario_pair(5, 2000, seed=22))))
+        plan = ChainPlan("q", (
+            ChainStep(source="p", target="q", id="a"),
+            ChainStep(source="r", target="q", design="nec", covariates=("school", OTHER_SCORE),
+                      equated_covariates={OTHER_SCORE: "a"},
+                      target_equated_covariates={OTHER_SCORE: ("a", "a")}, id="b"),
+            ChainStep(source="s", target="r", design="nec", covariates=("attempt", OTHER_SCORE),
+                      equated_covariates={OTHER_SCORE: ("a", "b")},
+                      target_equated_covariates={OTHER_SCORE: "b"}, id="c"),
+        ))
+        result = equate_chain(plan, forms)
+
+        def mapped(form, step_ids, covariates):
+            data = forms[form]
+            values = data.columns[OTHER_SCORE]
+            for step_id in step_ids:
+                values = result.step_tables[step_id].mapping(values)
+            return Dataset(data.scale, data.covariates, data.scores,
+                           {**data.columns, OTHER_SCORE: values}).restrict(covariates)
+
+        for step in plan.steps[1:]:
+            src = mapped(step.source, step.equated_covariates[OTHER_SCORE], step.covariates)
+            tgt = mapped(step.target, step.target_equated_covariates[OTHER_SCORE], step.covariates)
+            expected = PipelineSpec("GKE").run(src, tgt)
+            assert np.array_equal(result.step_tables[step.id].equated, expected.equated)
