@@ -209,18 +209,25 @@ def build_covariate_space(raw_tables, covariate_names, bins: dict,
 
 
 def _load_datasets(paths: dict, score_column: str, covariate_names: list, bins: dict,
-                   levels: dict | None = None, scale: tuple | None = None) -> dict:
+                   levels: dict | None = None, scale: tuple | None = None,
+                   label: str = "form {!r}") -> dict:
     """Datasets from the person CSVs ``{key: path}`` over one covariate space
     (see :func:`build_covariate_space`), on the score scale with bounds
-    ``scale`` or else each on its own range."""
+    ``scale`` or else each on its own range.  An error converting a file's
+    records names ``label.format(key)`` and the path."""
     scale = ScoreScale(*scale) if scale else None
     raws = {key: read_person_csv(path, score_column=score_column,
                                  covariate_columns=covariate_names)
             for key, path in paths.items()}
     space = build_covariate_space(raws.values(), covariate_names, bins, levels)
-    return {key: coerce_dataset(
+    datasets = {}
+    for key, raw in raws.items():
+        try:
+            datasets[key] = coerce_dataset(
                 raw, scale or ScoreScale(int(raw.scores.min()), int(raw.scores.max())), space)
-            for key, raw in raws.items()}
+        except ValidationError as exc:
+            raise UsageError(f"{label.format(key)} {paths[key]}: {exc}") from None
+    return datasets
 
 
 def _covariate_names(args) -> list[str]:
@@ -283,7 +290,7 @@ def cmd_equate(args) -> int:
     spec = _input_phase(_pipeline_spec, args)
     p_data, q_data = _input_phase(
         _load_datasets, {"p": args.p, "q": args.q}, args.score, _covariate_names(args),
-        dict(args.bin or ()), scale=args.scale,
+        dict(args.bin or ()), scale=args.scale, label="--{}",
     ).values()
     if args.bootstrap:
         boot = _input_phase(BootstrapConfig, args.bootstrap, args.seed)

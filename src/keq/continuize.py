@@ -49,8 +49,13 @@ GAUSS_SUM_MIN = 2.0**-800
 
 # The bandwidth grid's PEN1 floors give up this fraction of themselves, and
 # of the quantities they rest on, to cover the rounding of PEN1's own sums
-# (see _Smoothing.pen1_floors).
+# (see _Smoothing.pen1_floors).  Their second stage sums PEN1's terms over
+# every FLOOR_STRIDE-th score point at every grid bandwidth, and adds the
+# points half a stride on at the bandwidths whose floor is within
+# FLOOR_REFINE times the smallest.
 FLOOR_SLACK = 1e-6
+FLOOR_STRIDE = 8
+FLOOR_REFINE = 32.0
 
 # _phi calls math.erfc only where PHI_ZERO < u < PHI_ONE: beyond them the
 # normal CDF is exactly 0.0 or 1.0 (see _Smoothing.terms).
@@ -90,14 +95,16 @@ class _Smoothing:
     def __init__(self, dist: ScoreDistribution):
         self.points = dist.scale.points.astype(float)
         self.probs = dist.probs
+        self.support = np.flatnonzero(dist.probs)
         self.mu = dist.mean
         self.sigma2 = dist.variance
         self.probes = np.stack([self.points - PEN2_OFFSET, self.points + PEN2_OFFSET])
         self._scratch = [np.empty(0) for _ in range(3)]
+        self._exp_cut = EXP_NORMAL
 
     def _work(self, shape: tuple) -> list:
         """Arrays of ``shape`` for u, exp's argument and the Gaussian factor,
-        reused from call to call.  A bandwidth search makes some 130 calls
+        reused from call to call.  A bandwidth search makes some 80 calls
         on ~160 kB arrays; made afresh, they are faulted in page by page on
         every call whenever the allocator returns them to the system."""
         size = math.prod(shape)
@@ -109,8 +116,11 @@ class _Smoothing:
         """The asked-for terms at bandwidth h and x (scalar or array), in order.
 
         "cdf" is the CDF, "pdf" the density and "slope" the density's first
-        derivative.  All of them rest on u = (x - a*x_j - (1-a)*mu) / (a*h)
-        for every score point j, formed here once.
+        derivative; "row_pdf" is the density summed row by row, like "cdf",
+        so that its bits do not depend on where x sits in the batch (a
+        matrix product's do).  All of them rest on
+        u = (x - a*x_j - (1-a)*mu) / (a*h) for every score point j, formed
+        here once.
 
         "cdf" sums Phi(u) = erfc(-u / sqrt 2) / 2 weighted by the score
         probabilities.  ``_phi`` calls math.erfc only where
@@ -119,40 +129,43 @@ class _Smoothing:
         (from u ~ -38.4754 down), and ``_phi`` sets those values, so every
         entry has the formula's bits.
 
-        "pdf" and "slope" sum p_j g_j and -p_j u_j g_j over the score
-        points, with the Gaussian factor g = exp(-u**2 / 2) formed once.
+        "pdf", "row_pdf" and "slope" sum p_j g_j and -p_j u_j g_j over the
+        score points, with the Gaussian factor g = exp(-u**2 / 2) formed once.
         exp is called only where -u**2 / 2 > EXP_NORMAL, so g is zero
         wherever exp would give a subnormal or zero.  That leaves every
         sum unchanged once it reaches GAUSS_SUM_MIN = 2**-800:
         a dropped term is below 39 * DBL_MIN = 39 * 2**-1022 in magnitude
         (|u| < 39 there), so all of them together are below 2**-990, far
         less than half an ulp (at least 2**-853) of such a sum, which
-        rounds to the same value with or without them.  In a call where a
+        rounds to the same value with or without them.  In a row where a
         density or slope sum is below 2**-800 (a density far out in a tail,
         a slope that cancels to zero) the subnormals could show, so exp
-        fills in the lanes where EXP_ZERO < -u**2 / 2 <= EXP_NORMAL and,
-        if there were any, the sums are taken again (``_with_subnormals``).
-        Zero is then left only where exp gives exactly 0.0.  Either way
-        every result has the same bits as exp over the whole array.
+        fills in that row's lanes where EXP_ZERO < -u**2 / 2 <= EXP_NORMAL
+        and p_j > 0 and, if there were any, the sums are taken again
+        (``_with_subnormals``).  Zero is then left only where exp gives
+        exactly 0.0 or where p_j is 0, whose products are the same signed
+        zeros either way.  Once a call has had to fill lanes in, this
+        smoothing calls exp wherever -u**2 / 2 > EXP_ZERO from then on
+        (``_exp_cut``) and needs no redo: where tiny sums are common, as
+        on sparse pass-through tables, paying for the subnormals once is
+        cheaper than redoing call after call.  Either way every result has
+        the same bits as exp over the whole array.
         """
         scalar = np.ndim(x) == 0
         x = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(x)):
             raise ValidationError("non-finite evaluation point")
-        a = float(np.sqrt(self.sigma2 / (self.sigma2 + h**2)))
-        ah = a * h
+        a, ah = self._shrink(h)
         u, arg, gauss = self._work((*x.shape, self.points.size))
-        np.subtract(x[..., None], a * self.points, out=u)
-        u -= (1.0 - a) * self.mu
-        u /= ah
+        self._offsets(x, a, ah, u)
         sums = {}
-        if "pdf" in terms or "slope" in terms:
-            np.multiply(u, u, out=arg)
-            arg *= -0.5
-            gauss.fill(0.0)
-            np.exp(arg, out=gauss, where=arg > EXP_NORMAL)
+        if "pdf" in terms or "row_pdf" in terms or "slope" in terms:
+            self._gauss(u, arg, gauss, self._exp_cut)
             sums = self._gauss_sums(u, arg, gauss, terms)
-            if any(np.any(np.abs(v) < GAUSS_SUM_MIN) for v in sums.values()):
+            # One reduction per sum; fmin passes over NaN as the comparison would.
+            if self._exp_cut == EXP_NORMAL and any(
+                    np.fmin.reduce(np.abs(v), axis=None, initial=np.inf) < GAUSS_SUM_MIN
+                    for v in sums.values()):
                 sums = self._with_subnormals(u, arg, gauss, terms, sums)
         out = []
         for term in terms:
@@ -160,19 +173,44 @@ class _Smoothing:
                 # A row sum, not a matrix product: BLAS rounds a row differently
                 # depending on where it sits in the batch, and the inverse must not.
                 value = (_phi(u) * self.probs).sum(axis=-1)
-            elif term == "pdf":
-                value = sums["pdf"] * INV_SQRT_2PI / ah
+            elif term in ("pdf", "row_pdf"):
+                value = sums[term] * INV_SQRT_2PI / ah
             else:  # "slope"
                 value = sums["slope"] * INV_SQRT_2PI / ah**2
             out.append(float(value) if scalar else value)
         return out
 
+    def _shrink(self, h: float) -> tuple[float, float]:
+        """a = sqrt(sigma2 / (sigma2 + h**2)) and a*h at bandwidth h."""
+        a = float(np.sqrt(self.sigma2 / (self.sigma2 + h**2)))
+        return a, a * h
+
+    def _offsets(self, x, a, ah, u) -> None:
+        """u = (x - a*x_j - (1-a)*mu) / (a*h) into ``u``, for every x and score
+        point j; a and ah are floats, or arrays that broadcast against u."""
+        np.subtract(x[..., None], a * self.points, out=u)
+        u -= (1.0 - a) * self.mu
+        u /= ah
+
+    @staticmethod
+    def _gauss(u, arg, gauss, cut: float = EXP_NORMAL) -> None:
+        """The Gaussian factor exp(-u**2 / 2) into ``gauss`` where -u**2 / 2
+        exceeds ``cut``, and zero elsewhere; -u**2 / 2 into ``arg``."""
+        np.multiply(u, u, out=arg)
+        arg *= -0.5
+        gauss.fill(0.0)
+        np.exp(arg, out=gauss, where=arg > cut)
+
     def _gauss_sums(self, u, scratch, gauss, terms) -> dict:
-        """sum_j p_j g_j for "pdf" and -sum_j p_j u_j g_j for "slope", if
-        asked for in ``terms``, with the Gaussian factor g in ``gauss``."""
+        """sum_j p_j g_j for "pdf" (a matrix product) and "row_pdf" (a row
+        sum), and -sum_j p_j u_j g_j for "slope", if asked for in ``terms``,
+        with the Gaussian factor g in ``gauss``."""
         sums = {}
         if "pdf" in terms:
             sums["pdf"] = gauss @ self.probs
+        if "row_pdf" in terms:
+            np.multiply(gauss, self.probs, out=scratch)
+            sums["row_pdf"] = scratch.sum(axis=-1)
         if "slope" in terms:
             np.negative(u, out=scratch)
             scratch *= gauss
@@ -181,15 +219,24 @@ class _Smoothing:
 
     def _with_subnormals(self, u, arg, gauss, terms, sums: dict) -> dict:
         """``sums`` taken again once ``gauss`` holds the subnormal values of
-        exp(-u**2 / 2), where EXP_ZERO < -u**2 / 2 <= EXP_NORMAL; ``sums``
-        itself when there are none."""
-        np.multiply(u, u, out=arg)
-        arg *= -0.5
-        flat_arg, flat_gauss = arg.reshape(-1), gauss.reshape(-1)
-        band = np.flatnonzero((flat_arg > EXP_ZERO) & (flat_arg <= EXP_NORMAL))
-        if band.size == 0:
+        exp(-u**2 / 2), where EXP_ZERO < -u**2 / 2 <= EXP_NORMAL, in the rows
+        with a sum below GAUSS_SUM_MIN and the lanes of the points with
+        mass; ``sums`` itself when there are none.  The other rows keep
+        their sums, which the subnormals cannot change (see ``terms``), and
+        a lane whose p_j is 0 adds a zero of the same sign either way.  A
+        fill moves later calls' exp cut to EXP_ZERO."""
+        j = self.points.size
+        low = np.logical_or.reduce([np.abs(v) < GAUSS_SUM_MIN for v in sums.values()])
+        rows = np.flatnonzero(low)
+        t = u.reshape(-1, j).take(rows, axis=0).take(self.support, axis=1)
+        t *= t
+        t *= -0.5
+        band = (t > EXP_ZERO) & (t <= EXP_NORMAL)
+        if not band.any():
             return sums
-        flat_gauss[band] = np.exp(flat_arg[band])
+        self._exp_cut = EXP_ZERO
+        row, lane = band.nonzero()
+        gauss.reshape(-1, j)[rows[row], self.support[lane]] = np.exp(t[row, lane])
         return self._gauss_sums(u, arg, gauss, terms)
 
     def pen1(self, h: float) -> float:
@@ -197,24 +244,79 @@ class _Smoothing:
         return float(np.sum((self.probs - self.terms(h, self.points, "pdf")[0]) ** 2))
 
     def pen1_floors(self, hs: np.ndarray) -> np.ndarray:
-        """A lower bound of ``pen1(h)`` for each h in ``hs``, from O(J) work each.
+        """A lower bound of ``pen1(h)`` for each h in ``hs``, in two stages.
 
-        With c = 1 / (sqrt(2 pi) a h) the kernel's peak, no density value
-        f_i exceeds c (the probabilities sum to one), so PEN1 is at least
-        sum_i max(p_i - c, 0)**2.  And f_i is at least its own point's term
-        p_i phi(u_ii) / (a h), whose sum over i is L, so by Cauchy-Schwarz
-        PEN1 >= (sum_i f_i - 1)**2 / J >= max(L - 1, 0)**2 / J.  The larger
-        bound is returned.  FLOOR_SLACK raises c and lowers L and the
-        returned bound, to cover the rounding of PEN1's own sums.
+        The first stage costs O(J) per h.  With c = 1 / (sqrt(2 pi) a h) the
+        kernel's peak, no density value f_i exceeds c (the probabilities sum
+        to one), so PEN1 is at least sum_i max(p_i - c, 0)**2.  And f_i is at
+        least its own point's term p_i phi(u_ii) / (a h), whose sum over i is
+        L, so by Cauchy-Schwarz PEN1 >= (sum_i f_i - 1)**2 / J >=
+        max(L - 1, 0)**2 / J.  FLOOR_SLACK raises c and lowers L to cover the
+        rounding of PEN1's own sums.
+
+        Both are 0 over most of the grid, so the second stage sums PEN1's
+        own terms over a subset of the score points (``_subset_floors``):
+        every FLOOR_STRIDE-th point at every h, and the points half a stride
+        on wherever that floor is within FLOOR_REFINE times the smallest,
+        where the bandwidths that can win lie.  The larger of the two stages
+        is returned, scaled by 1 - FLOOR_SLACK.
         """
-        hs = np.asarray(hs, dtype=float)[:, None]
-        a = np.sqrt(self.sigma2 / (self.sigma2 + hs**2))
-        peak = INV_SQRT_2PI / (a * hs)
-        u = (1.0 - a) * (self.points - self.mu) / (a * hs)
+        hs = np.asarray(hs, dtype=float)
+        col = hs[:, None]
+        a = np.sqrt(self.sigma2 / (self.sigma2 + col**2))
+        peak = INV_SQRT_2PI / (a * col)
+        u = (1.0 - a) * (self.points - self.mu) / (a * col)
         own = (np.exp(-0.5 * u**2) * peak) @ self.probs
         sum_bound = np.maximum((1.0 - FLOOR_SLACK) * own - 1.0, 0.0) ** 2 / self.probs.size
         peak_bound = (np.maximum(self.probs - (1.0 + FLOOR_SLACK) * peak, 0.0) ** 2).sum(axis=1)
-        return (1.0 - FLOOR_SLACK) * np.maximum(sum_bound, peak_bound)
+        shrink = np.array([self._shrink(h) for h in hs])
+        subset = self._subset_floors(shrink, slice(0, None, FLOOR_STRIDE))
+        refine = np.flatnonzero(subset <= FLOOR_REFINE * subset.min())
+        subset[refine] += self._subset_floors(shrink[refine],
+                                              slice(FLOOR_STRIDE // 2, None, FLOOR_STRIDE))
+        return (1.0 - FLOOR_SLACK) * np.maximum(np.maximum(sum_bound, peak_bound), subset)
+
+    def _subset_floors(self, shrink: np.ndarray, points: slice) -> np.ndarray:
+        """sum_i t_i**2 over the score points ``points`` selects, for each
+        row (a, ah) of ``shrink``, each no more than the float PEN1 at h.
+
+        ``shrink`` holds ``_shrink(h)``, so u and the masked Gaussian factor
+        have the bits that ``terms`` gives them, and f~_i differs from the
+        density f_i that ``pen1`` uses only in the rounding of its sum and
+        scaling (a matrix product rounds a row by its position), and in the
+        subnormals that ``terms`` may fill in.  Any order of a J-term sum
+        of nonnegative products is within J eps of the exact one (eps =
+        2**-53), plus J 2**-1075 from products that underflow; the
+        subnormals add at most DBL_MIN = 2**-1022 (the p_j sum to one); the
+        two scalings round by eps each.  So |f_i - f~_i| <= 2 (J + 3) eps
+        f~_i (1 + O(J eps)) + J c 2**-1022, and with d_i = fl(p_i - f~_i),
+        t_i = max(|d_i| - delta_i, 0), delta_i = (J + 4) 2**-51 (f~_i +
+        |d_i|) + J c 2**-1020 covers that and the two roundings between
+        |d_i| and |fl(p_i - f_i)|, with a factor 2 to spare for its own
+        roundings (and for an exp that differs by an ulp between calls).
+        Rounding is monotone, so fl(t_i**2) <= fl(fl(p_i - f_i)**2), and a
+        float sum of nonnegative terms over a subset, in any order, is at
+        most 1 + 2 J eps times PEN1's float sum over all points, which
+        FLOOR_SLACK covers.
+        """
+        x = self.points[points]
+        j = self.points.size
+        f = np.empty((len(shrink), x.size))
+        # In blocks of bandwidths no larger than PEN2's probe arrays, so the
+        # scratch arrays do not grow past what the search uses anyway.
+        step = max(2 * j // max(x.size, 1), 1)
+        for start in range(0, len(shrink), step):
+            block = shrink[start:start + step]
+            a, ah = (block[:, k, None, None] for k in (0, 1))
+            u, arg, gauss = self._work((len(block), x.size, j))
+            self._offsets(x, a, ah, u)
+            self._gauss(u, arg, gauss)
+            np.matmul(gauss.reshape(-1, j), self.probs, out=f[start:start + step].reshape(-1))
+        peak = INV_SQRT_2PI / shrink[:, 1:]
+        f *= peak
+        d = np.abs(self.probs[points] - f)
+        delta = (j + 4) * 2.0**-51 * (f + d) + j * 2.0**-1020 * peak
+        return (np.maximum(d - delta, 0.0) ** 2).sum(axis=1)
 
     def pen2(self, h: float) -> float:
         """Score points where the density slopes down a quarter point to the
@@ -415,9 +517,10 @@ def inverse_cdf(c: ContinuizedCdf, p):
     too.  A point is done when its bracket is narrower than
     ``XTOL + RTOL * |x|``, as in Brent's method, and the end
     with the smaller residual is returned; or when its residual is exactly
-    zero.  Finished points keep their value while the rest iterate, and
-    every arithmetic step is per point, so the result for one p does not
-    depend on the batch it is solved in.
+    zero.  Only the points still open are evaluated and stepped.  Every
+    arithmetic step is per point, the CDF and the density being row sums
+    ("row_pdf"; a matrix product would round a point by its position), so
+    the result for one p does not depend on the batch it is solved in.
     """
     scalar = np.ndim(p) == 0
     p = np.atleast_1d(np.asarray(p, dtype=float))
@@ -435,32 +538,36 @@ def inverse_cdf(c: ContinuizedCdf, p):
     r_lo, r_hi = fgrid[k - 1] - p, fgrid[k] - p
     x = lo - r_lo * (hi - lo) / (r_hi - r_lo)
     result = np.where(r_hi == 0.0, hi, np.nan)
-    active = r_hi != 0.0
+    # Only the open points are carried from step to step; ``open_`` holds
+    # their indices into p.
+    open_ = np.flatnonzero(r_hi != 0.0)
+    x, p, lo, hi, r_lo, r_hi = (v[open_] for v in (x, p, lo, hi, r_lo, r_hi))
     step = step_before = hi - lo
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(INVERSE_MAX_ITER):
-            cdf, pdf = _kernel(c, x, "cdf", "pdf")
+            if open_.size == 0:
+                break
+            cdf, pdf = _kernel(c, x, "cdf", "row_pdf")
             r = cdf - p
-            below, above = active & (r < 0.0), active & (r > 0.0)
+            below, above = r < 0.0, r > 0.0
             lo, r_lo = np.where(below, x, lo), np.where(below, r, r_lo)
             hi, r_hi = np.where(above, x, hi), np.where(above, r, r_hi)
             tol = XTOL + RTOL * np.abs(x)
-            root = active & (r == 0.0)
-            closed = active & ~root & (hi - lo <= tol)
-            result = np.where(root, x, result)
-            result = np.where(closed, np.where(-r_lo <= r_hi, lo, hi), result)
-            active &= ~(root | closed)
-            if not active.any():
-                break
+            root = r == 0.0
+            closed = ~root & (hi - lo <= tol)
+            result[open_[root]] = x[root]
+            result[open_[closed]] = np.where(-r_lo <= r_hi, lo, hi)[closed]
+            keep = ~(root | closed)
+            open_, x, p, lo, hi, r_lo, r_hi, r, pdf, tol, step, step_before = (
+                v[keep] for v in (open_, x, p, lo, hi, r_lo, r_hi, r, pdf, tol, step,
+                                  step_before))
             newton = r / pdf
             newton = np.where(np.abs(newton) < 0.5 * tol, np.copysign(0.5 * tol, r), newton)
             bisect = (~((x - newton > lo) & (x - newton < hi))
                       | (np.abs(2.0 * newton) > np.abs(step_before)))
             new_step = np.where(bisect, x - 0.5 * (lo + hi), newton)
             step_before, step = step, new_step
-            x = np.where(active, x - new_step, x)
-        else:
-            raise KeqError(
-                f"inverse CDF did not converge in {INVERSE_MAX_ITER} iterations"
-            )
+            x = x - new_step
+    if open_.size:
+        raise KeqError(f"inverse CDF did not converge in {INVERSE_MAX_ITER} iterations")
     return float(result[0]) if scalar else result

@@ -260,7 +260,10 @@ def equate_covariate(p_data: Dataset, q_data: Dataset, covariate: str,
         exc.args = (f"covariate run for {covariate!r} on [{cov_scale.min}, {cov_scale.max}]: "
                     f"{exc}",)
         raise
-    return table, _through_maps(q_data, {covariate: (table.mapping,)})
+    # Every value is an integer on cov_scale and table.equated is the map at
+    # each of its points, so the second population's column is read off it.
+    columns = {**q_data.columns, covariate: table.equated[cov_scale.index_of(values[p_data.n:])]}
+    return table, Dataset(q_data.scale, q_data.covariates, q_data.scores, columns)
 
 
 def equate_sequential(p_data: Dataset, q_data: Dataset, covariate: str,

@@ -192,6 +192,20 @@ class TestCmdEquate:
             assert code == 2
             assert f"{bad}: line 3: missing score value" in one_line_error(capsys)
 
+    def test_unconvertible_covariate_value_names_flag_and_file(self, tmp_path, capsys):
+        good = tmp_path / "good.csv"
+        good.write_text("score,g\n1,1\n2,3\n3,2\n", encoding="utf-8")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("score,g\n1,1\n2,x\n3,2\n", encoding="utf-8")
+        for flag, p_path, q_path in (("--p", bad, good), ("--q", good, bad)):
+            code = main(["equate", "--design", "nec", "--covariates", "g", "--bin", "g=1,5",
+                         "--p", str(p_path), "--q", str(q_path),
+                         "--out", str(tmp_path / "o.csv")])
+            assert code == 2
+            assert one_line_error(capsys) == (
+                f"error: {flag} {bad}: record 1: non-numeric value 'x' for binned covariate 'g'\n")
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("content, message", [
         (b"score,g\n3,a\n99999999999999999999,b\n",
          "line 3: score '99999999999999999999' outside the 64-bit integer range"),
@@ -660,6 +674,17 @@ class TestCmdChain:
         assert code == 2
         assert named in one_line_error(capsys)
         assert not (tmp_path / "out").exists()
+
+    def test_undeclared_level_names_the_form_and_file(self, tmp_path, capsys):
+        plan_path = write_chain_fixture(tmp_path)
+        plan = json.loads(plan_path.read_text(encoding="utf-8"))
+        plan["covariates"]["school"]["levels"] = [0]
+        plan_path.write_text(json.dumps(plan), encoding="utf-8")
+        code = main(["chain", "--plan", str(plan_path), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert one_line_error(capsys) == (
+            f"error: form 's2017' {tmp_path / 's2017.csv'}: "
+            "record 0: undeclared level '1' for covariate 'school'\n")
 
     def test_plan_is_checked_before_any_csv_is_read(self, tmp_path, capsys):
         plan_path = write_chain_fixture(tmp_path)

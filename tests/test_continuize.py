@@ -384,6 +384,20 @@ class TestBandwidthSelection:
         # The floors spare most searches some of the 64 grid PEN1s.
         assert sum(n < 64 for n in grid_pen1_calls) > len(grid_pen1_calls) / 2
 
+    def test_floors_spare_most_grid_pen1s_on_scenario_5(self):
+        # A work-count guard: on scenario 5's r and s the search computes at
+        # most 20 of the 64 grid PEN1s on average (35 with the O(J) floors
+        # alone), and still equals the eager search.
+        counts = []
+        for dist in scenario_targets(5, reps=10):
+            grid = set(bandwidth_grid(dist))
+            with patch.object(_Smoothing, "pen1", autospec=True,
+                              side_effect=_Smoothing.pen1) as pen1_spy:
+                h = select_bandwidth(dist)
+            counts.append(sum(c.args[1] in grid for c in pen1_spy.call_args_list))
+            assert h == eager_search(dist, 1.0)[0]
+        assert np.mean(counts) <= 20
+
     @PROPERTY
     @given(grid_penalties(), st.sampled_from([0.0, 0.5, 1.0]))
     @example(tied_grid_penalties(), 1.0)
@@ -407,6 +421,16 @@ class TestBandwidthSelection:
             floors = smoothing.pen1_floors(grid)
             assert all(f <= smoothing.pen1(h) for f, h in zip(floors, grid))
             assert np.count_nonzero(floors) > 0
+
+    def test_subset_floor_over_every_point_is_pen1_within_slack(self):
+        # Over all score points the second stage's sum is PEN1 itself, less
+        # its rounding allowance: it forms the same terms.
+        for dist in scenario_targets(5, reps=1):
+            smoothing, grid = _Smoothing(dist), bandwidth_grid(dist)
+            shrink = np.array([smoothing._shrink(h) for h in grid])
+            floors = smoothing._subset_floors(shrink, slice(None))
+            pen1 = np.array([smoothing.pen1(h) for h in grid])
+            assert np.all(floors <= pen1) and np.all(floors >= (1.0 - 1e-6) * pen1)
 
     @PROPERTY
     @given(st.one_of(dense_or_sparse(), multimodal()))
@@ -600,6 +624,22 @@ class TestInverseCdf:
         order = rng.permutation(len(p))
         assert np.array_equal(inverse_cdf(c, p[order]), x[order])
 
+    def test_newton_evaluates_only_open_points(self):
+        c = ContinuizedCdf(binomial_dist(20, 0.4), 0.6)
+        p = np.concatenate([np.linspace(0.01, 0.99, 50), [1e-12, 1.0 - 1e-12, 1e-6]])
+        sizes, terms_before = [], _Smoothing.terms
+
+        def spy(self, h, x, *terms):
+            if terms == ("cdf", "row_pdf"):
+                sizes.append(np.size(x))
+            return terms_before(self, h, x, *terms)
+
+        with patch.object(_Smoothing, "terms", spy):
+            x = inverse_cdf(c, p)
+        assert sizes[0] == len(p) and sizes[-1] < len(p)
+        assert sizes == sorted(sizes, reverse=True)
+        assert np.array_equal(x, [inverse_cdf(c, float(pi)) for pi in p])
+
     def test_monotone_in_p_including_tails(self):
         tail = np.geomspace(1e-12, 1e-3, 200)
         p = np.concatenate([tail, np.linspace(0.002, 0.998, 500), (1.0 - tail)[::-1]])
@@ -677,6 +717,22 @@ class TestKernelProperties:
         pdf_diff = (kernel_pdf(c, x + eps) - kernel_pdf(c, x - eps)) / (2 * eps)
         assert cdf_diff == pytest.approx(pdf, rel=1e-6, abs=1e-7 * peak)
         assert pdf_diff == pytest.approx(slope, rel=1e-6, abs=1e-7 * peak / c.h)
+
+    @PROPERTY
+    @given(continuized(), continuized(), st.data())
+    def test_subsets_equal_the_full_batch(self, f, g, data):
+        # Each point is solved apart from its batch: the inversion iterates
+        # only on open points, and the covariate map reads its own table.
+        n = data.draw(st.integers(1, 40))
+        p = np.array(data.draw(st.lists(st.floats(P_TAIL, 1.0 - P_TAIL),
+                                        min_size=n, max_size=n)))
+        subset = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+        assert inverse_cdf(g, p[subset]).tobytes() == inverse_cdf(g, p)[subset].tobytes()
+        mapping = EquatingMap(f, g)
+        points = f.dist.scale.points.astype(float)
+        picked = data.draw(st.lists(st.integers(0, len(points) - 1), min_size=1,
+                                    max_size=len(points)))
+        assert mapping(points[picked]).tobytes() == mapping(points)[picked].tobytes()
 
     @PROPERTY
     @given(continuized())

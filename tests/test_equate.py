@@ -247,6 +247,27 @@ class TestEquateCovariate:
         assert aligned < 0.5 * raw
         assert aligned < max(0.05, 1.5 * floor)
 
+    @pytest.mark.parametrize("raise_q_to", [None, 12], ids=["scenario-5", "partial-q-range"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_transformed_column_is_the_map_of_the_raw_column(self, seed, raise_q_to):
+        # With raise_q_to, Q's covariate starts that far above the joint
+        # scale's minimum, so reading the table must offset by that minimum,
+        # not by Q's own.
+        p_data, q_data = scenario_pair(5, 5000, seed=seed)
+        if raise_q_to is not None:
+            low = min(np.min(p_data.columns[OTHER_SCORE]), np.min(q_data.columns[OTHER_SCORE]))
+            q_data = Dataset(q_data.scale, q_data.covariates, q_data.scores, {
+                **q_data.columns,
+                OTHER_SCORE: np.maximum(q_data.columns[OTHER_SCORE], low + raise_q_to)})
+            assert np.min(q_data.columns[OTHER_SCORE]) > np.min(p_data.columns[OTHER_SCORE])
+        table, transformed = equate_covariate(p_data, q_data, OTHER_SCORE)
+        raw = np.asarray(q_data.columns[OTHER_SCORE], dtype=float)
+        column = np.asarray(transformed.columns[OTHER_SCORE])
+        assert column.tobytes() == np.asarray(table.mapping(raw)).tobytes()
+        for name in ("school", "attempt"):
+            assert np.array_equal(transformed.columns[name], q_data.columns[name])
+        assert np.array_equal(transformed.scores, q_data.scores)
+
     def test_non_integer_covariate_rejected(self):
         p_data, q_data = scenario_pair(1, 500, seed=7)
         q_bad = Dataset(q_data.scale, q_data.covariates, q_data.scores,
