@@ -401,10 +401,14 @@ def load_scenario_config(path) -> tuple[ScenarioSpec, GeneratorParams]:
 
 
 def cmd_simulate(args) -> int:
+    names = [m.strip() for m in args.methods.split(",")]
     try:
-        methods = tuple(METHOD_FLAGS[m.strip()] for m in args.methods.split(","))
+        methods = tuple(METHOD_FLAGS[m] for m in names)
     except KeyError as exc:
         raise UsageError(f"unknown method {exc.args[0]!r} (expected gke, seq)") from None
+    repeated = [m for k, m in enumerate(names) if m in names[:k]]
+    if repeated:
+        raise UsageError(f"method {repeated[0]!r} is repeated in --methods")
     if (args.scenario is None) == (args.scenario_config is None):
         raise UsageError("give exactly one of --scenario or --scenario-config")
     if args.scenario_config:

@@ -42,17 +42,16 @@ PEN2_OFFSET = 0.25
 # each lane whose result is subnormal or zero, so the Gaussian factor calls
 # it only above EXP_NORMAL and leaves the other lanes zero; a call whose
 # density or slope sums come out below GAUSS_SUM_MIN, where the dropped
-# subnormals could show, fills them in and sums again (see _Smoothing.terms).
+# subnormals could show, is redone with them (see _Smoothing.terms).
 EXP_ZERO = -746.0
 EXP_NORMAL = -708.3964185322642
 GAUSS_SUM_MIN = 2.0**-800
 
-# The bandwidth grid's PEN1 floors give up this fraction of themselves, and
-# of the quantities they rest on, to cover the rounding of PEN1's own sums
-# (see _Smoothing.pen1_floors).  Their second stage sums PEN1's terms over
-# every FLOOR_STRIDE-th score point at every grid bandwidth, and adds the
-# points half a stride on at the bandwidths whose floor is within
-# FLOOR_REFINE times the smallest.
+# The bandwidth grid's PEN1 floors give up this fraction of themselves to
+# cover the rounding of PEN1's own sums (see _Smoothing.pen1_floors).  They
+# sum PEN1's terms over every FLOOR_STRIDE-th score point at every grid
+# bandwidth, and add the points half a stride on at the bandwidths whose
+# floor is within FLOOR_REFINE times the smallest.
 FLOOR_SLACK = 1e-6
 FLOOR_STRIDE = 8
 FLOOR_REFINE = 32.0
@@ -95,7 +94,6 @@ class _Smoothing:
     def __init__(self, dist: ScoreDistribution):
         self.points = dist.scale.points.astype(float)
         self.probs = dist.probs
-        self.support = np.flatnonzero(dist.probs)
         self.mu = dist.mean
         self.sigma2 = dist.variance
         self.probes = np.stack([self.points - PEN2_OFFSET, self.points + PEN2_OFFSET])
@@ -137,17 +135,14 @@ class _Smoothing:
         a dropped term is below 39 * DBL_MIN = 39 * 2**-1022 in magnitude
         (|u| < 39 there), so all of them together are below 2**-990, far
         less than half an ulp (at least 2**-853) of such a sum, which
-        rounds to the same value with or without them.  In a row where a
-        density or slope sum is below 2**-800 (a density far out in a tail,
-        a slope that cancels to zero) the subnormals could show, so exp
-        fills in that row's lanes where EXP_ZERO < -u**2 / 2 <= EXP_NORMAL
-        and p_j > 0 and, if there were any, the sums are taken again
-        (``_with_subnormals``).  Zero is then left only where exp gives
-        exactly 0.0 or where p_j is 0, whose products are the same signed
-        zeros either way.  Once a call has had to fill lanes in, this
-        smoothing calls exp wherever -u**2 / 2 > EXP_ZERO from then on
-        (``_exp_cut``) and needs no redo: where tiny sums are common, as
-        on sparse pass-through tables, paying for the subnormals once is
+        rounds to the same value with or without them.  Where a density or
+        slope sum is below 2**-800 (a density far out in a tail, a slope
+        that cancels to zero) the subnormals could show, so the whole call
+        is redone with exp wherever -u**2 / 2 > EXP_ZERO, which leaves zero
+        only where exp gives exactly 0.0 (``_with_subnormals``).  From then
+        on this smoothing calls exp down to EXP_ZERO (``_exp_cut``) and
+        needs no redo: where tiny sums are common, as on sparse
+        pass-through tables, paying for the subnormals on every call is
         cheaper than redoing call after call.  Either way every result has
         the same bits as exp over the whole array.
         """
@@ -166,7 +161,7 @@ class _Smoothing:
             if self._exp_cut == EXP_NORMAL and any(
                     np.fmin.reduce(np.abs(v), axis=None, initial=np.inf) < GAUSS_SUM_MIN
                     for v in sums.values()):
-                sums = self._with_subnormals(u, arg, gauss, terms, sums)
+                sums = self._with_subnormals(u, arg, gauss, terms)
         out = []
         for term in terms:
             if term == "cdf":
@@ -217,26 +212,13 @@ class _Smoothing:
             sums["slope"] = scratch @ self.probs
         return sums
 
-    def _with_subnormals(self, u, arg, gauss, terms, sums: dict) -> dict:
-        """``sums`` taken again once ``gauss`` holds the subnormal values of
-        exp(-u**2 / 2), where EXP_ZERO < -u**2 / 2 <= EXP_NORMAL, in the rows
-        with a sum below GAUSS_SUM_MIN and the lanes of the points with
-        mass; ``sums`` itself when there are none.  The other rows keep
-        their sums, which the subnormals cannot change (see ``terms``), and
-        a lane whose p_j is 0 adds a zero of the same sign either way.  A
-        fill moves later calls' exp cut to EXP_ZERO."""
-        j = self.points.size
-        low = np.logical_or.reduce([np.abs(v) < GAUSS_SUM_MIN for v in sums.values()])
-        rows = np.flatnonzero(low)
-        t = u.reshape(-1, j).take(rows, axis=0).take(self.support, axis=1)
-        t *= t
-        t *= -0.5
-        band = (t > EXP_ZERO) & (t <= EXP_NORMAL)
-        if not band.any():
-            return sums
+    def _with_subnormals(self, u, arg, gauss, terms) -> dict:
+        """The sums of ``terms`` taken again with exp called wherever
+        -u**2 / 2 > EXP_ZERO, subnormal values included, and with this
+        smoothing's exp cut moved there (``_exp_cut``), so later calls need
+        no redo and each smoothing redoes at most once."""
         self._exp_cut = EXP_ZERO
-        row, lane = band.nonzero()
-        gauss.reshape(-1, j)[rows[row], self.support[lane]] = np.exp(t[row, lane])
+        self._gauss(u, arg, gauss, EXP_ZERO)
         return self._gauss_sums(u, arg, gauss, terms)
 
     def pen1(self, h: float) -> float:
@@ -244,37 +226,20 @@ class _Smoothing:
         return float(np.sum((self.probs - self.terms(h, self.points, "pdf")[0]) ** 2))
 
     def pen1_floors(self, hs: np.ndarray) -> np.ndarray:
-        """A lower bound of ``pen1(h)`` for each h in ``hs``, in two stages.
+        """A lower bound of ``pen1(h)`` for each h in ``hs``.
 
-        The first stage costs O(J) per h.  With c = 1 / (sqrt(2 pi) a h) the
-        kernel's peak, no density value f_i exceeds c (the probabilities sum
-        to one), so PEN1 is at least sum_i max(p_i - c, 0)**2.  And f_i is at
-        least its own point's term p_i phi(u_ii) / (a h), whose sum over i is
-        L, so by Cauchy-Schwarz PEN1 >= (sum_i f_i - 1)**2 / J >=
-        max(L - 1, 0)**2 / J.  FLOOR_SLACK raises c and lowers L to cover the
-        rounding of PEN1's own sums.
-
-        Both are 0 over most of the grid, so the second stage sums PEN1's
-        own terms over a subset of the score points (``_subset_floors``):
-        every FLOOR_STRIDE-th point at every h, and the points half a stride
-        on wherever that floor is within FLOOR_REFINE times the smallest,
-        where the bandwidths that can win lie.  The larger of the two stages
-        is returned, scaled by 1 - FLOOR_SLACK.
+        Each is PEN1's own terms summed over a subset of the score points
+        (``_subset_floors``): every FLOOR_STRIDE-th point at every h, and
+        the points half a stride on wherever that floor is within
+        FLOOR_REFINE times the smallest, where the bandwidths that can win
+        lie.  The sum is scaled by 1 - FLOOR_SLACK.
         """
-        hs = np.asarray(hs, dtype=float)
-        col = hs[:, None]
-        a = np.sqrt(self.sigma2 / (self.sigma2 + col**2))
-        peak = INV_SQRT_2PI / (a * col)
-        u = (1.0 - a) * (self.points - self.mu) / (a * col)
-        own = (np.exp(-0.5 * u**2) * peak) @ self.probs
-        sum_bound = np.maximum((1.0 - FLOOR_SLACK) * own - 1.0, 0.0) ** 2 / self.probs.size
-        peak_bound = (np.maximum(self.probs - (1.0 + FLOOR_SLACK) * peak, 0.0) ** 2).sum(axis=1)
-        shrink = np.array([self._shrink(h) for h in hs])
+        shrink = np.array([self._shrink(h) for h in np.asarray(hs, dtype=float)])
         subset = self._subset_floors(shrink, slice(0, None, FLOOR_STRIDE))
         refine = np.flatnonzero(subset <= FLOOR_REFINE * subset.min())
         subset[refine] += self._subset_floors(shrink[refine],
                                               slice(FLOOR_STRIDE // 2, None, FLOOR_STRIDE))
-        return (1.0 - FLOOR_SLACK) * np.maximum(np.maximum(sum_bound, peak_bound), subset)
+        return (1.0 - FLOOR_SLACK) * subset
 
     def _subset_floors(self, shrink: np.ndarray, points: slice) -> np.ndarray:
         """sum_i t_i**2 over the score points ``points`` selects, for each
@@ -375,8 +340,9 @@ def kernel_cdf(c: ContinuizedCdf, x):
 
 
 def kernel_pdf(c: ContinuizedCdf, x):
-    """Density of the continuized distribution at x."""
-    return _kernel(c, x, "pdf")[0]
+    """Density of the continuized distribution at x (scalar or array); each
+    point's value is a row sum, so it does not depend on the batch."""
+    return _kernel(c, x, "row_pdf")[0]
 
 
 def penalty(dist: ScoreDistribution, h: float, kpen: float = 1.0) -> float:

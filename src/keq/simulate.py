@@ -269,6 +269,9 @@ def run_scenario(scenario: ScenarioSpec, replications: int,
     """
     if replications < 2:
         raise ValidationError("need at least 2 replications")
+    repeated = [m for k, m in enumerate(methods) if m in methods[:k]]
+    if repeated:
+        raise ValidationError(f"method {repeated[0]!r} is repeated")
     params = params or GeneratorParams()
     specs = tuple(PipelineSpec(m, OTHER_SCORE if m == METHOD_SEQ else None) for m in methods)
     chunk = partial(run_pairs, partial(_generate, scenario, params), specs, seed)

@@ -493,6 +493,12 @@ class TestCmdSimulate:
         assert out.read_bytes() == direct.read_bytes()
         assert list(read_metrics_csv(out)[0]) == ["sequential GKE"]
 
+    def test_repeated_method_exits_2(self, tmp_path, capsys):
+        assert main(["simulate", "--scenario", "5", "--reps", "2", "--methods", "gke,seq, gke",
+                     "--out", str(tmp_path / "m.csv")]) == 2
+        assert one_line_error(capsys) == "error: method 'gke' is repeated in --methods\n"
+        assert not (tmp_path / "m.csv").exists()
+
     def test_scenario_flags_are_exclusive(self, tmp_path):
         assert main(["simulate", "--reps", "2",
                      "--out", str(tmp_path / "m.csv")]) == 2

@@ -1,6 +1,7 @@
 """Tests for Gaussian-kernel continuization and bandwidth selection."""
 
 import math
+from collections import Counter
 from unittest.mock import patch
 
 import numpy as np
@@ -95,16 +96,39 @@ def unmasked_phi(u):
     return np.array([0.5 * math.erfc(-v / SQRT2) for v in np.ravel(u)]).reshape(np.shape(u))
 
 
-def unmasked_terms(dist, h, x, cdf=True):
-    """Density, slope and (if ``cdf``) CDF at x with exp and erfc taken over
-    every kernel entry."""
+def unmasked_kernel(dist, h, x):
+    """u and the Gaussian factor exp(-u**2 / 2) over every kernel entry, and a*h."""
     a = float(np.sqrt(dist.variance / (dist.variance + h**2)))
     ah = a * h
     u = (x[..., None] - a * dist.scale.points.astype(float) - (1.0 - a) * dist.mean) / ah
-    gauss = np.exp(-0.5 * u**2)
+    return u, np.exp(-0.5 * u**2), ah
+
+
+def unmasked_terms(dist, h, x, cdf=True):
+    """Density, slope and (if ``cdf``) CDF at x with exp and erfc taken over
+    every kernel entry."""
+    u, gauss, ah = unmasked_kernel(dist, h, x)
     pdf = (gauss @ dist.probs) * INV_SQRT_2PI / ah
     slope = ((-u * gauss) @ dist.probs) * INV_SQRT_2PI / ah**2
     return (pdf, slope, (unmasked_phi(u) * dist.probs).sum(axis=-1)) if cdf else (pdf, slope)
+
+
+def unmasked_row_pdf(dist, h, x):
+    """The density at x summed row by row, as ``kernel_pdf`` sums it, with
+    exp taken over every kernel entry."""
+    _, gauss, ah = unmasked_kernel(dist, h, x)
+    return (gauss * dist.probs).sum(axis=-1) * INV_SQRT_2PI / ah
+
+
+def sparse_tables():
+    """20 pass-through tables of 20-400 draws on 20-100 score points, most
+    points empty; far from the draws their density and slope sums fall
+    below 2**-800."""
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        j, n, p = rng.integers(20, 101), rng.integers(20, 401), rng.uniform(0.05, 0.95)
+        counts = np.bincount(rng.binomial(j - 1, p, n), minlength=j)
+        yield ScoreDistribution(ScoreScale(0, int(j) - 1), counts / counts.sum())
 
 
 def unmasked_penalty(dist, h, kpen):
@@ -386,8 +410,8 @@ class TestBandwidthSelection:
 
     def test_floors_spare_most_grid_pen1s_on_scenario_5(self):
         # A work-count guard: on scenario 5's r and s the search computes at
-        # most 20 of the 64 grid PEN1s on average (35 with the O(J) floors
-        # alone), and still equals the eager search.
+        # most 20 of the 64 grid PEN1s on average (4.4 on these 20 searches),
+        # and still equals the eager search.
         counts = []
         for dist in scenario_targets(5, reps=10):
             grid = set(bandwidth_grid(dist))
@@ -423,7 +447,7 @@ class TestBandwidthSelection:
             assert np.count_nonzero(floors) > 0
 
     def test_subset_floor_over_every_point_is_pen1_within_slack(self):
-        # Over all score points the second stage's sum is PEN1 itself, less
+        # Over all score points the subset floors' sum is PEN1 itself, less
         # its rounding allowance: it forms the same terms.
         for dist in scenario_targets(5, reps=1):
             smoothing, grid = _Smoothing(dist), bandwidth_grid(dist)
@@ -459,11 +483,12 @@ class TestExactZeros:
         points = dist.scale.points.astype(float)
         x = np.concatenate([points, np.linspace(-30.0, 90.0, 241)])
         pdf, slope, cdf = unmasked_terms(dist, h, x)
-        assert np.array_equal(kernel_pdf(c, x), pdf)
+        assert np.array_equal(_kernel(c, x, "pdf")[0], pdf)  # PEN1's density
         assert np.array_equal(_kernel(c, x, "pdf", "slope")[1], slope)
+        assert np.array_equal(kernel_pdf(c, x), unmasked_row_pdf(dist, h, x))
         assert np.array_equal(kernel_cdf(c, x), cdf)
         assert kernel_cdf(c, 17.0) == unmasked_terms(dist, h, np.array(17.0))[2]
-        assert kernel_pdf(c, 17.0) == unmasked_terms(dist, h, np.array(17.0))[0]
+        assert kernel_pdf(c, 17.0) == unmasked_row_pdf(dist, h, np.array(17.0))
         for kpen in (0.0, 0.5, 1.0):
             assert penalty(dist, h, kpen) == unmasked_penalty(dist, h, kpen)
 
@@ -498,8 +523,8 @@ class TestExactZeros:
 
     def test_sparse_table_takes_the_redo_and_keeps_the_search(self):
         # A pass-through table of 52 draws on 0..84: far from the mass the
-        # density and slope sums fall below 2**-800, so many calls are
-        # redone with the subnormals.
+        # density and slope sums fall below 2**-800, so the search redoes a
+        # call with the subnormals.
         counts = np.bincount(np.random.default_rng(3).binomial(84, 0.34, 52), minlength=85)
         dist = ScoreDistribution(ScoreScale(0, 84), counts / counts.sum())
         grid = bandwidth_grid(dist)
@@ -510,6 +535,18 @@ class TestExactZeros:
             expected, values = eager_search(dist, kpen)
             assert h == expected
             assert values == [unmasked_penalty(dist, g, kpen) for g in grid]
+
+    def test_each_smoothing_redoes_at_most_once(self):
+        # After a redo a smoothing computes the subnormals on every call.
+        most = 0
+        for kpen in (0.0, 0.5, 1.0):
+            for dist in sparse_tables():
+                with subnormal_redos() as spy:
+                    h = select_bandwidth(dist, kpen)
+                redos = Counter(id(call.args[0]) for call in spy.call_args_list)
+                most = max([most, *redos.values()])
+                assert h == eager_search(dist, kpen)[0]
+        assert most == 1
 
     def test_scenario_5_never_takes_the_redo(self):
         # The presmoothed r and s of scenario 5, and every density and slope
@@ -722,12 +759,15 @@ class TestKernelProperties:
     @given(continuized(), continuized(), st.data())
     def test_subsets_equal_the_full_batch(self, f, g, data):
         # Each point is solved apart from its batch: the inversion iterates
-        # only on open points, and the covariate map reads its own table.
+        # only on open points, the covariate map reads its own table, and
+        # the density is a row sum.
         n = data.draw(st.integers(1, 40))
         p = np.array(data.draw(st.lists(st.floats(P_TAIL, 1.0 - P_TAIL),
                                         min_size=n, max_size=n)))
         subset = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
         assert inverse_cdf(g, p[subset]).tobytes() == inverse_cdf(g, p)[subset].tobytes()
+        x = support_grid(g, n)
+        assert kernel_pdf(g, x[subset]).tobytes() == kernel_pdf(g, x)[subset].tobytes()
         mapping = EquatingMap(f, g)
         points = f.dist.scale.points.astype(float)
         picked = data.draw(st.lists(st.integers(0, len(points) - 1), min_size=1,

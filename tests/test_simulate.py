@@ -197,6 +197,15 @@ class TestRunScenario:
         with pytest.raises(ValidationError, match="'bogus'"):
             run_scenario(ScenarioSpec.from_table(1), 2, methods=("bogus",))
 
+    def test_repeated_method_rejected_before_any_replication(self, monkeypatch):
+        def no_replication(*args, **kwargs):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(keq.simulate, "gen_population", no_replication)
+        with pytest.raises(ValidationError, match="method 'GKE' is repeated"):
+            run_scenario(ScenarioSpec.from_table(1), 2,
+                         methods=(METHOD_GKE, METHOD_SEQ, METHOD_GKE))
+
     def test_needs_two_replications(self):
         with pytest.raises(ValidationError):
             run_scenario(ScenarioSpec.from_table(1), 1)
