@@ -306,6 +306,9 @@ def cmd_equate(args) -> int:
         result = bootstrap_see(p_data, q_data, spec, boot, threads=args.threads)
         table = table.with_see(result.see)
         metadata["bootstrap_replicates"] = args.bootstrap
+        if result.n_failed:
+            # The SEE then comes from fewer rows than the replicates asked for.
+            metadata["bootstrap_failed"] = result.n_failed
         metadata["bootstrap_seed"] = args.seed
         if args.dump_replicates:
             replicates = (f"replicate_{b}" for b in range(len(result.replicates)))

@@ -43,6 +43,7 @@ __all__ = [
 # (but above the renormalization floor) is silently rescaled away.
 SUM_TOL = 1e-10
 RENORM_FLOOR = 1e-12
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 class KeqError(Exception):
@@ -139,8 +140,18 @@ class Categorical:
         return len(self.levels)
 
     def level_indices(self, values: np.ndarray) -> np.ndarray:
+        """Each value's level index; an undeclared value is a ValidationError.
+
+        Integer values against integer levels take one sorted lookup; every
+        other column, and any column with an undeclared value, goes through
+        a dict record by record."""
+        values = np.asarray(values)
+        found = _sorted_level_indices(self.levels, values)
+        return found if found is not None else self._dict_level_indices(values)
+
+    def _dict_level_indices(self, values: np.ndarray) -> np.ndarray:
         lookup = {level: i for i, level in enumerate(self.levels)}
-        items = np.asarray(values).tolist()
+        items = values.tolist()
         try:
             return np.fromiter(map(lookup.__getitem__, items), dtype=np.int64,
                                count=len(items))
@@ -149,6 +160,25 @@ class Categorical:
             raise ValidationError(
                 f"record {i}: undeclared level {v!r} for covariate {self.name!r}"
             ) from None
+
+
+def _sorted_level_indices(levels: tuple, values: np.ndarray) -> np.ndarray | None:
+    """The level index of each value by one sorted lookup, or None where the
+    dict lookup must decide: values not of a signed integer type (or an
+    unsigned one narrower than 64 bits), a level that is not an integer in
+    the int64 range (a bool included), or a value that is no level."""
+    kind, size = values.dtype.kind, values.dtype.itemsize
+    if not (kind == "i" or (kind == "u" and size < 8)) or not all(
+            isinstance(level, (int, np.integer)) and not isinstance(level, bool)
+            and _INT64_MIN <= int(level) <= _INT64_MAX for level in levels):
+        return None
+    keys = np.array([int(level) for level in levels], dtype=np.int64)
+    order = np.argsort(keys)
+    keys = keys[order]
+    pos = np.minimum(np.searchsorted(keys, values), len(keys) - 1)
+    if not np.array_equal(keys[pos], values):
+        return None
+    return order[pos]
 
 
 @dataclass(frozen=True)
@@ -285,6 +315,15 @@ class Dataset:
     ones (binned values may be non-integers, e.g. after an equating
     transformation has been applied to the column).  Each record's
     covariate cell index is computed once, on construction.
+
+    A dataset never changes, so it keeps what is computed from it: its
+    count table (``counts``) and whatever its callers store with
+    ``cached``, such as the equating pipeline's presmoothed fit for each
+    ``LoglinearSpec``.  The cache lives as long as the dataset object.  It
+    is not pickled, so a copy (a worker process's, say) starts empty, as
+    does every dataset made by ``take`` or ``restrict``.  A fit is not
+    redone while its dataset lives: patching the fitter afterwards does
+    not refit a dataset that was already fitted.
     """
 
     scale: ScoreScale
@@ -292,6 +331,7 @@ class Dataset:
     scores: np.ndarray
     columns: dict[str, np.ndarray]
     _cells: np.ndarray = field(init=False, repr=False, compare=False)
+    _cache: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         scores = np.asarray(self.scores)
@@ -326,6 +366,13 @@ class Dataset:
         cells.setflags(write=False)
         object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "_cells", cells)
+        object.__setattr__(self, "_cache", {})
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_cache"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, _cache={})
 
     @property
     def n(self) -> int:
@@ -334,6 +381,16 @@ class Dataset:
     def cell_indices(self) -> np.ndarray:
         """Covariate cell index of every record (all 0 without covariates)."""
         return self._cells
+
+    def cached(self, key, compute):
+        """``compute()``, called at most once per ``key`` for this dataset."""
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
+
+    def counts(self) -> np.ndarray:
+        """The read-only count table of ``tabulate_counts``, tabulated once."""
+        return self.cached("counts", lambda: _frozen_array(tabulate_counts(self), np.int64))
 
     def take(self, indices: np.ndarray) -> "Dataset":
         """New dataset from row indices (used by bootstrap resampling).
@@ -347,7 +404,8 @@ class Dataset:
             arr.setflags(write=False)
         out = object.__new__(Dataset)
         for name, value in (("scale", self.scale), ("covariates", self.covariates),
-                            ("scores", scores), ("columns", columns), ("_cells", cells)):
+                            ("scores", scores), ("columns", columns), ("_cells", cells),
+                            ("_cache", {})):
             object.__setattr__(out, name, value)
         return out
 
@@ -454,7 +512,6 @@ TOKEN_BYTES = 16
 # Bytes whose files go to the row loop: quotes, carriage returns, control
 # characters other than tab and newline, and everything outside ASCII.
 _ROW_LOOP_BYTES = bytes([*range(0x09), *range(0x0B, 0x20), ord('"'), *range(0x7F, 0x100)])
-_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 def read_person_csv(path, score_column: str = "score",

@@ -32,7 +32,6 @@ from .core import (
     KeqError,
     ScoreScale,
     ValidationError,
-    tabulate_counts,
 )
 from .continuize import P_TAIL, ContinuizedCdf, continuize, inverse_cdf, kernel_cdf
 from .presmooth import LoglinearSpec, presmooth_counts
@@ -81,13 +80,18 @@ def _require_shared_space(p, q) -> None:
 
 @dataclass(frozen=True)
 class NecInput:
-    """Nonequivalent groups with covariates: joint tables plus mixture weight."""
+    """Nonequivalent groups with covariates: joint tables plus mixture weight.
+
+    ``from_datasets`` keeps the two datasets, which presmoothing needs:
+    each dataset tabulates its counts and fits each ``LoglinearSpec`` once
+    (see ``Dataset``).
+    """
 
     p: JointProbabilityTable
     q: JointProbabilityTable
     omega: float
-    p_counts: np.ndarray | None = None
-    q_counts: np.ndarray | None = None
+    p_data: Dataset | None = field(default=None, compare=False, repr=False)
+    q_data: Dataset | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.omega <= 1.0:
@@ -97,13 +101,11 @@ class NecInput:
     @classmethod
     def from_datasets(cls, p_data: Dataset, q_data: Dataset,
                       omega: float | None = None) -> "NecInput":
-        pc = tabulate_counts(p_data)
-        qc = tabulate_counts(q_data)
+        p, q = (JointProbabilityTable(data.scale, data.covariates, data.counts() / data.n)
+                for data in (p_data, q_data))
         if omega is None:
             omega = p_data.n / (p_data.n + q_data.n)
-        p = JointProbabilityTable(p_data.scale, p_data.covariates, pc / p_data.n)
-        q = JointProbabilityTable(q_data.scale, q_data.covariates, qc / q_data.n)
-        return cls(p, q, omega, pc, qc)
+        return cls(p, q, omega, p_data, q_data)
 
 
 @dataclass(frozen=True)
@@ -168,18 +170,25 @@ def _fit_summary(fit) -> dict:
     }
 
 
+def _presmoothed(data: Dataset, spec: LoglinearSpec):
+    """``data``'s fit under ``spec``, fitted once per dataset: sequential GKE's
+    main run reuses the first population's fit from a GKE run on the same
+    dataset."""
+    return data.cached(spec, lambda: presmooth_counts(data.counts(), data.scale,
+                                                      data.covariates, spec))
+
+
 def _target_probs(nec: NecInput, config: GkePipelineConfig):
     """Presmooth (when configured) and derive (r, s) plus diagnostics."""
     p, q = nec.p, nec.q
     diag: dict = {}
     if config.presmooth is not None:
-        if nec.p_counts is None or nec.q_counts is None:
+        if nec.p_data is None or nec.q_data is None:
             raise ValidationError(
                 "presmoothing requires counts; build the input from datasets "
                 "or configure pass-through"
             )
-        fp, fq = [presmooth_counts(counts, table.scale, table.covariates, config.presmooth)
-                  for counts, table in ((nec.p_counts, p), (nec.q_counts, q))]
+        fp, fq = (_presmoothed(data, config.presmooth) for data in (nec.p_data, nec.q_data))
         p, q = fp.fitted_probs, fq.fitted_probs
         diag["presmooth"] = {"p": _fit_summary(fp), "q": _fit_summary(fq)}
     r, s = nec_target_probs(p, q, nec.omega)

@@ -29,6 +29,7 @@ from keq.core import (
     CovariateSpace,
     EquatingTable,
     ScoreScale,
+    ValidationError,
     coerce_dataset,
     read_person_csv,
 )
@@ -180,6 +181,34 @@ class TestCmdEquate:
         reps = (tmp_path / "reps.csv").read_text(encoding="utf-8").splitlines()
         assert reps[0].startswith("score,replicate_0")
         assert len(reps) == 102
+
+    def test_failed_bootstrap_replicate_is_counted_in_the_header(self, person_files, tmp_path,
+                                                                 monkeypatch):
+        p_path, q_path = person_files
+        argv = ["equate", "--design", "eg", "--p", str(p_path), "--q", str(q_path),
+                "--scale", "0,100", "--no-presmooth", "--bootstrap", "20", "--seed", "5"]
+        assert main([*argv, "--out", str(tmp_path / "whole.csv")]) == 0
+        resample, calls = keq.uncertainty._resample, []
+
+        def fail_third(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise ValidationError("forced failure")
+            return resample(*args)
+
+        monkeypatch.setattr(keq.uncertainty, "_resample", fail_third)
+        assert main([*argv, "--out", str(tmp_path / "one_failed.csv"),
+                     "--dump-replicates", str(tmp_path / "reps.csv")]) == 0
+        whole, one_failed = ((tmp_path / name).read_text(encoding="utf-8").splitlines()
+                             for name in ("whole.csv", "one_failed.csv"))
+        assert "# bootstrap_replicates: 20" in whole
+        assert not any(line.startswith("# bootstrap_failed") for line in whole)
+        at = one_failed.index("# bootstrap_replicates: 20")
+        assert one_failed[at + 1] == "# bootstrap_failed: 1"
+        assert [line for line in one_failed if line.startswith("#") and line != one_failed[at + 1]
+                ] == [line for line in whole if line.startswith("#")]
+        header = (tmp_path / "reps.csv").read_text(encoding="utf-8").splitlines()[0]
+        assert header.split(",")[-1] == "replicate_18"
 
     def test_malformed_csv_exits_2_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -27,6 +27,8 @@ from keq.core import (
     read_person_csv,
     tabulate_counts,
 )
+from keq.equate import NecInput, equate_gke, equate_sequential
+from keq.simulate import OTHER_SCORE, ScenarioSpec, gen_population
 
 THRESHOLDS = (50.0, 60.0, 70.0, 80.0, 100.0)
 
@@ -136,6 +138,59 @@ class TestLevelIndices:
         with pytest.raises(ValidationError, match="record 4"):
             Dataset(ScoreScale(0, 9), CovariateSpace((Categorical("g", levels),)),
                     np.arange(len(values)), {"g": values})
+
+    INT_DTYPES = (np.int64, np.int32, np.int8, np.uint32, np.uint8)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(small=st.lists(st.integers(-128, 255), min_size=1, max_size=5),
+           wide=st.lists(st.integers(-2**63, 2**63 - 1), max_size=4),
+           dtype=st.sampled_from(INT_DTYPES), data=st.data())
+    def test_sorted_lookup_equals_dict_lookup(self, small, wide, dtype, data):
+        # Levels in any order, negative ones included; values of an integer
+        # type narrower than uint64, drawn from the levels it holds.
+        levels = data.draw(st.permutations(list(dict.fromkeys(small + wide))))
+        info = np.iinfo(dtype)
+        fitting = [v for v in levels if info.min <= v <= info.max]
+        drawn = st.lists(st.sampled_from(fitting), max_size=40) if fitting else st.just([])
+        values = np.array(data.draw(drawn), dtype=dtype)
+        var = Categorical("g", tuple(levels))
+        got = core._sorted_level_indices(var.levels, values)
+        assert got is not None and got.dtype == np.int64
+        assert np.array_equal(got, var._dict_level_indices(values))
+        # A value that is no level falls back and reports as the dict does.
+        miss = data.draw(st.integers(info.min, info.max).filter(lambda v: v not in levels))
+        at = data.draw(st.integers(0, len(values)))
+        values = np.insert(values, at, miss).astype(dtype)
+        assert core._sorted_level_indices(var.levels, values) is None
+        for lookup in (var.level_indices, var._dict_level_indices):
+            with pytest.raises(ValidationError) as err:
+                lookup(values)
+            assert str(err.value) == f"record {at}: undeclared level {miss!r} for covariate 'g'"
+
+    @pytest.mark.parametrize("levels, values", [
+        ((0, 1), np.array([True, False])),
+        ((0, 1), np.array([0.0, 1.0])),
+        ((0, 1), np.array([0, 1], dtype=object)),
+        ((0, 1), np.array([0, 1], dtype=np.uint64)),
+        ((False, True), np.array([0, 1])),
+        ((2**64, 0, 1), np.array([0, 1])),
+    ], ids=["bool-values", "float-values", "object-values", "uint64-values",
+            "bool-levels", "level-beyond-int64"])
+    def test_other_columns_stay_on_the_dict_path(self, levels, values):
+        var = Categorical("g", levels)
+        assert core._sorted_level_indices(var.levels, values) is None
+        assert np.array_equal(var.level_indices(values), var._dict_level_indices(values))
+
+    def test_scenario5_replication_makes_no_dict_lookup(self, monkeypatch):
+        def refuse(self, values):
+            raise AssertionError(f"dict lookup of {len(values)} records")
+
+        monkeypatch.setattr(Categorical, "_dict_level_indices", refuse)
+        scenario = ScenarioSpec.from_table(5)
+        p, q = (gen_population(pop, scenario, seed=core.substream(0, 0, key))
+                for key, pop in enumerate("PQ"))
+        equate_gke(NecInput.from_datasets(p, q))
+        equate_sequential(p, q, OTHER_SCORE)
 
 
 class TestDistributions:

@@ -1,5 +1,7 @@
 """Tests for the log-linear presmoothing design and IRLS fitter."""
 
+import pickle
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,6 +14,7 @@ from keq.core import (
     Binned,
     Categorical,
     CovariateSpace,
+    Dataset,
     ScoreScale,
     ValidationError,
     substream,
@@ -297,9 +300,10 @@ class TestFit:
 
     def test_scenario5_fits_match_dense_irls(self, monkeypatch):
         # Every table a replication presmooths (GKE's P and Q, the nested
-        # covariate run's two and sequential GKE's main-run Q), replications
-        # 0-3 at seed 0: the factored fit takes the iterations of plain
-        # IRLS on the row matrix and lands on its fitted probabilities.
+        # covariate run's two and sequential GKE's main-run Q; the main run
+        # reuses P's fit from the GKE run), replications 0-3 at seed 0: the
+        # factored fit takes the iterations of plain IRLS on the row matrix
+        # and lands on its fitted probabilities.
         calls = []
         real = keq.equate.presmooth_counts
 
@@ -315,7 +319,7 @@ class TestFit:
                     for key, pop in enumerate("PQ"))
             equate_gke(NecInput.from_datasets(p, q), GkePipelineConfig())
             equate_sequential(p, q, OTHER_SCORE)
-        assert len(calls) == 4 * 6
+        assert len(calls) == 4 * 5
         for counts, scale, covariates, spec, fit in calls:
             iterations, mu = dense_irls(counts, build_design_matrix(scale, covariates, spec))
             assert fit.converged and fit.iterations == iterations
@@ -386,3 +390,39 @@ class TestFit:
             _solve_pos(gram, np.ones(3))
         with pytest.raises(np.linalg.LinAlgError):
             _solve_pos(np.eye(3), np.array([1.0, np.nan, 0.0]))
+
+
+class TestFitCache:
+    @staticmethod
+    def pair():
+        scenario = ScenarioSpec.from_table(5)
+        return tuple(gen_population(pop, scenario, seed=substream(0, 0, key))
+                     for key, pop in enumerate("PQ"))
+
+    @staticmethod
+    def gke_then_sequential(p, q, fresh=False):
+        copy = (lambda d: pickle.loads(pickle.dumps(d))) if fresh else (lambda d: d)
+        return (equate_gke(NecInput.from_datasets(copy(p), copy(q))),
+                equate_sequential(copy(p), copy(q), OTHER_SCORE))
+
+    def test_reused_fits_give_the_tables_of_fresh_datasets(self, monkeypatch):
+        p, q = self.pair()
+        reused = self.gke_then_sequential(p, q)
+        fresh = self.gke_then_sequential(p, q, fresh=True)
+        for a, b in zip(reused, fresh):
+            assert a.equated.tobytes() == b.equated.tobytes()
+            assert (a.diagnostics["h_x"], a.diagnostics["h_y"]) == (
+                b.diagnostics["h_x"], b.diagnostics["h_y"])
+            assert repr(a.diagnostics) == repr(b.diagnostics)
+        # The fits stay with the object; its pickled state carries none.
+        unfitted = Dataset(p.scale, p.covariates, p.scores, p.columns)
+        assert pickle.dumps(p) == pickle.dumps(unfitted)
+        # A fitted dataset keeps its fit; a taken or fresh one fits anew.
+        fit = keq.presmooth.fit_loglinear
+        monkeypatch.setattr(keq.presmooth, "fit_loglinear",
+                            lambda *a, **kw: fit(*a, **{**kw, "max_iter": 1}))
+        rows = np.arange(p.n)
+        for data, converged in (((p, q), True), ((p.take(rows), q.take(rows)), False),
+                                (tuple(pickle.loads(pickle.dumps(d)) for d in (p, q)), False)):
+            fits = equate_gke(NecInput.from_datasets(*data)).diagnostics["presmooth"]
+            assert [fits[k]["converged"] for k in "pq"] == [converged] * 2
