@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import heapq
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,6 +37,17 @@ INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 H_MIN = 0.05
 H_MAX_SD_FACTOR = 4.0
 PEN2_OFFSET = 0.25
+
+# PEN1 and PEN2 form the kernel on a band of each row only, of half-width
+# k from the exp cut with a relative BAND_SLACK to spare, while a*h exceeds
+# BAND_AH_MIN (so u stays finite) and the score points are below
+# BAND_POINT_MAX in magnitude (so u's rounding is far below a score point);
+# see _Smoothing.  The band's operands are shared by every smoothing on a
+# score scale, up to BAND_CACHE_BYTES in all (see _band_operands).
+BAND_SLACK = 1e-9
+BAND_AH_MIN = 1e-280
+BAND_POINT_MAX = 2.0**32
+BAND_CACHE_BYTES = 2 * 2**20
 
 # np.exp(t) is exactly 0.0 for every t <= EXP_ZERO (it underflows below
 # about -745.13), and below DBL_MIN, a subnormal, for every t <= EXP_NORMAL
@@ -82,6 +95,52 @@ def _phi(u: np.ndarray) -> np.ndarray:
     return phi
 
 
+_band_cache: OrderedDict = OrderedDict()
+_band_cache_lock = threading.Lock()
+
+
+def _band_operands(points: np.ndarray, probes: np.ndarray, k: int | None) -> dict:
+    """Per term, the operands of PEN1's ("pdf") or PEN2's ("slope") kernel
+    rows on the band of half-width k: each row's evaluation point (a score
+    point, or a probe) repeated over the band, and the score point of each
+    band column, or for a column beyond the scale the point 2J past that
+    end.  With k None they span every column.  Both are contiguous, so u
+    takes one pass where a broadcast would loop row by row.
+
+    Shared by every smoothing on the same score scale, read-only, and
+    dropped least recently used first once they pass BAND_CACHE_BYTES in
+    all; operands larger than that on their own are not kept here.
+    """
+    key = (float(points[0]), points.size, k)
+    with _band_cache_lock:
+        operands = _band_cache.get(key)
+        if operands is not None:
+            _band_cache.move_to_end(key)
+            return operands
+    j = points.size
+    if k is None:
+        width, cols = j, np.tile(points, (j, 1))
+    else:
+        width, far = 2 * k + 1, np.full(k, 2.0 * j)
+        padded = np.concatenate([points[0] - far, points, points[-1] + far])
+        cols = np.lib.stride_tricks.sliding_window_view(padded, width).copy()
+    operands = {term: (np.repeat(x[..., None], width, axis=-1), cols)
+                for term, x in (("pdf", points), ("slope", probes))}
+    for rows, _ in operands.values():
+        rows.flags.writeable = False
+    cols.flags.writeable = False
+    with _band_cache_lock:
+        _band_cache[key] = operands
+        while sum(_operand_bytes(v) for v in _band_cache.values()) > BAND_CACHE_BYTES:
+            _band_cache.popitem(last=False)
+    return operands
+
+
+def _operand_bytes(operands: dict) -> int:
+    """Bytes held by one entry of ``_band_operands``' cache."""
+    return operands["pdf"][1].nbytes + sum(rows.nbytes for rows, _ in operands.values())
+
+
 class _Smoothing:
     """Gaussian-kernel smoothing of one score distribution, at any bandwidth.
 
@@ -89,6 +148,36 @@ class _Smoothing:
     probabilities, the mean and variance, and PEN2's probe points.  A
     bandwidth search forms it once and evaluates every h against it.  Its
     scratch arrays (see ``_work``) make it unsafe to share between threads.
+
+    PEN1 and PEN2 form their kernel matrices, g_ij at the score points and
+    -u_ij g_ij at the probes, only on a band where g can be nonzero: the
+    columns j within k of row i (``_band_product``).  With row i's point
+    x_i (a probe is a quarter point off) and unit-spaced score points,
+    |x_i - a x_j - (1-a) mu| >= |i - j| - 1/4 - (1-a) max_j |x_j - mu|.
+    So with R = sqrt(-2 cut) for this smoothing's exp cut, every column
+    with |i - j| > k = ceil(R (1 + BAND_SLACK) a h + 1/4
+    + (1-a) max_j |x_j - mu|) has |u| >= R (1 + BAND_SLACK) + 1/(a h),
+    far beyond the rounding of u and of -u**2 / 2: the masked exp gives 0
+    there (a test checks it against ``unmasked_kernel``).  The band is
+    written into a zero-filled full-size matrix, and PEN1 and PEN2 take
+    the same (J, J) and (2, J, J) matrix products as over the whole
+    kernel, on matrices with the same bits.  The one exception is the sign
+    of a zero: a slope entry outside the band is +0 where -u * 0 can give
+    -0.  That can flip only the sign of a slope sum that is exactly zero,
+    which PEN2's ``< 0`` and ``> 0`` tests and the redo's ``abs`` treat
+    alike.
+
+    Row i's band is a run of 2k + 1 entries from column i - k of the
+    row-major matrix, so its columns beyond the scale spill into the
+    neighbouring row, or into the J // 2 + 1 spare entries (more than k)
+    before, between and after the two probe blocks.  They never reach
+    another row's band, since 2k + 1 < J, and they hold zeros: those
+    columns read a score point 2J past the scale's end, where g is 0
+    too.  The band is taken while 4k + 2 < J, where it is under half the
+    row and a > 1/2, which puts that point beyond the cut; and while a h
+    exceeds BAND_AH_MIN and the score points are below BAND_POINT_MAX in
+    magnitude, so that u is finite and its rounding small.  Otherwise
+    the matrices are formed in full.
     """
 
     def __init__(self, dist: ScoreDistribution):
@@ -99,12 +188,21 @@ class _Smoothing:
         self.probes = np.stack([self.points - PEN2_OFFSET, self.points + PEN2_OFFSET])
         self._scratch = [np.empty(0) for _ in range(3)]
         self._exp_cut = EXP_NORMAL
+        lo, hi = float(self.points[0]), float(self.points[-1])
+        self._reach = max(self.mu - lo, hi - self.mu)  # max_j |x_j - mu|
+        self._bandable = max(-lo, hi) < BAND_POINT_MAX
+        # Made by the first penalty (see _band and _matrices): a smoothing
+        # that only evaluates ``terms`` allocates none of it.
+        self._bands: dict = {}
+        self._full = self._buffer = self._written = None
 
     def _work(self, shape: tuple) -> list:
         """Arrays of ``shape`` for u, exp's argument and the Gaussian factor,
-        reused from call to call.  A bandwidth search makes some 80 calls
-        on ~160 kB arrays; made afresh, they are faulted in page by page on
-        every call whenever the allocator returns them to the system."""
+        reused from call to call.  A bandwidth search on scenario 5 makes
+        some 75 penalty calls, on arrays of up to 163 kB (2 x 101 x 101)
+        in full and of 57 kB (2 x 101 x 35) on a typical band; made
+        afresh, the full ones are faulted in page by page on every call
+        whenever the allocator returns them to the system."""
         size = math.prod(shape)
         if self._scratch[0].size < size:
             self._scratch = [np.empty(size) for _ in range(3)]
@@ -118,7 +216,8 @@ class _Smoothing:
         so that its bits do not depend on where x sits in the batch (a
         matrix product's do).  All of them rest on
         u = (x - a*x_j - (1-a)*mu) / (a*h) for every score point j, formed
-        here once.
+        here once over every x and j (``_offsets``); PEN1 and PEN2 form
+        the same u on a band only (see the class docstring).
 
         "cdf" sums Phi(u) = erfc(-u / sqrt 2) / 2 weighted by the score
         probabilities.  ``_phi`` calls math.erfc only where
@@ -152,26 +251,18 @@ class _Smoothing:
             raise ValidationError("non-finite evaluation point")
         a, ah = self._shrink(h)
         u, arg, gauss = self._work((*x.shape, self.points.size))
-        self._offsets(x, a, ah, u)
+        self._offsets(x[..., None], self.points, a, ah, u)
         sums = {}
         if "pdf" in terms or "row_pdf" in terms or "slope" in terms:
-            self._gauss(u, arg, gauss, self._exp_cut)
-            sums = self._gauss_sums(u, arg, gauss, terms)
-            # One reduction per sum; fmin passes over NaN as the comparison would.
-            if self._exp_cut == EXP_NORMAL and any(
-                    np.fmin.reduce(np.abs(v), axis=None, initial=np.inf) < GAUSS_SUM_MIN
-                    for v in sums.values()):
-                sums = self._with_subnormals(u, arg, gauss, terms)
+            sums = self._checked(lambda cut: self._gauss_sums(u, arg, gauss, terms, cut))
         out = []
         for term in terms:
             if term == "cdf":
                 # A row sum, not a matrix product: BLAS rounds a row differently
                 # depending on where it sits in the batch, and the inverse must not.
                 value = (_phi(u) * self.probs).sum(axis=-1)
-            elif term in ("pdf", "row_pdf"):
-                value = sums[term] * INV_SQRT_2PI / ah
-            else:  # "slope"
-                value = sums["slope"] * INV_SQRT_2PI / ah**2
+            else:
+                value = self._scaled(term, sums[term], ah)
             out.append(float(value) if scalar else value)
         return out
 
@@ -180,10 +271,11 @@ class _Smoothing:
         a = float(np.sqrt(self.sigma2 / (self.sigma2 + h**2)))
         return a, a * h
 
-    def _offsets(self, x, a, ah, u) -> None:
-        """u = (x - a*x_j - (1-a)*mu) / (a*h) into ``u``, for every x and score
-        point j; a and ah are floats, or arrays that broadcast against u."""
-        np.subtract(x[..., None], a * self.points, out=u)
+    def _offsets(self, x, cols, a, ah, u) -> None:
+        """u = (x - a*x_j - (1-a)*mu) / (a*h) into ``u``, with the evaluation
+        points x and the score points x_j in ``cols`` broadcast against u;
+        a and ah are floats, or arrays that broadcast against u."""
+        np.subtract(x, a * cols, out=u)
         u -= (1.0 - a) * self.mu
         u /= ah
 
@@ -196,10 +288,11 @@ class _Smoothing:
         gauss.fill(0.0)
         np.exp(arg, out=gauss, where=arg > cut)
 
-    def _gauss_sums(self, u, scratch, gauss, terms) -> dict:
+    def _gauss_sums(self, u, scratch, gauss, terms, cut: float) -> dict:
         """sum_j p_j g_j for "pdf" (a matrix product) and "row_pdf" (a row
         sum), and -sum_j p_j u_j g_j for "slope", if asked for in ``terms``,
-        with the Gaussian factor g in ``gauss``."""
+        with the Gaussian factor g formed into ``gauss`` above ``cut``."""
+        self._gauss(u, scratch, gauss, cut)
         sums = {}
         if "pdf" in terms:
             sums["pdf"] = gauss @ self.probs
@@ -212,18 +305,120 @@ class _Smoothing:
             sums["slope"] = scratch @ self.probs
         return sums
 
-    def _with_subnormals(self, u, arg, gauss, terms) -> dict:
-        """The sums of ``terms`` taken again with exp called wherever
+    @staticmethod
+    def _scaled(term: str, sums, ah: float):
+        """The density ("pdf", "row_pdf") or slope from its sums over j."""
+        if term == "slope":
+            return sums * INV_SQRT_2PI / ah**2
+        return sums * INV_SQRT_2PI / ah
+
+    def _checked(self, sums_at) -> dict:
+        """``sums_at(cut)``, a dict of density or slope sums with exp taken
+        above ``cut``, at this smoothing's exp cut; redone with the
+        subnormals (``_with_subnormals``) where a sum is below
+        GAUSS_SUM_MIN (see ``terms``)."""
+        sums = sums_at(self._exp_cut)
+        # One reduction per sum; fmin passes over NaN as the comparison would.
+        if self._exp_cut == EXP_NORMAL and any(
+                np.fmin.reduce(np.abs(v), axis=None, initial=np.inf) < GAUSS_SUM_MIN
+                for v in sums.values()):
+            sums = self._with_subnormals(sums_at)
+        return sums
+
+    def _with_subnormals(self, sums_at) -> dict:
+        """The sums of ``sums_at`` taken again with exp called wherever
         -u**2 / 2 > EXP_ZERO, subnormal values included, and with this
         smoothing's exp cut moved there (``_exp_cut``), so later calls need
         no redo and each smoothing redoes at most once."""
         self._exp_cut = EXP_ZERO
-        self._gauss(u, arg, gauss, EXP_ZERO)
-        return self._gauss_sums(u, arg, gauss, terms)
+        return sums_at(EXP_ZERO)
+
+    def _penalty_sums(self, h: float, term: str) -> np.ndarray:
+        """The density at the score points ("pdf", for PEN1) or the slope at
+        PEN2's probes ("slope"), from the banded kernel (``_band_product``)."""
+        a, ah = self._shrink(h)
+        sums = self._checked(lambda cut: {term: self._band_product(term, a, ah, cut)})
+        return self._scaled(term, sums[term], ah)
+
+    def _band_product(self, term: str, a: float, ah: float, cut: float) -> np.ndarray:
+        """sum_j p_j g_ij (term "pdf", rows at the score points) or
+        -sum_j p_j u_ij g_ij ("slope", rows at the probes) for every row i,
+        with exp taken above ``cut``, the kernel formed on the band of
+        ``_half_width`` and the product taken over the full matrix (see the
+        class docstring)."""
+        k = self._half_width(a, ah, cut)
+        rows, cols, band = self._band(k)[term]
+        u, arg, gauss = self._work(rows.shape)
+        self._offsets(rows, cols, a, ah, u)
+        self._gauss(u, arg, gauss, cut)
+        if term == "slope":
+            np.negative(u, out=arg)
+            arg *= gauss
+            gauss = arg
+        if band is None:
+            return gauss @ self.probs
+        if self._written != k:
+            # Only the band last written can hold anything but zeros.
+            if self._written is not None:
+                self._band(self._written)["slope"][2][...] = 0.0
+            self._written = k
+        band[...] = gauss
+        return self._matrices()[term] @ self.probs
+
+    def _half_width(self, a: float, ah: float, cut: float) -> int | None:
+        """The band's half-width k at shrink a, a*h and exp cut ``cut``, or
+        None where the band is not narrow (see the class docstring)."""
+        if not (ah > BAND_AH_MIN and self._bandable):
+            return None
+        k = math.ceil(math.sqrt(-2.0 * cut) * (1.0 + BAND_SLACK) * ah + PEN2_OFFSET
+                      + (1.0 - a) * self._reach)
+        return k if 4 * k + 2 < self.points.size else None
+
+    def _band(self, k: int | None) -> dict:
+        """Per term, the band's operands at half-width k (``_band_operands``)
+        and the view that writes the band into ``_matrices``, or None when
+        k is None.  Kept per k for the life of the smoothing."""
+        band = self._bands.get(k)
+        if band is None:
+            j = self.points.size
+            band = self._bands[k] = {
+                term: (rows, cols, None if k is None else self._in_buffer(rows.shape, -k, j + 1))
+                for term, (rows, cols) in _band_operands(self.points, self.probes, k).items()}
+        return band
+
+    def _matrices(self) -> dict:
+        """Per term, the full-size matrix the band is written into: (J, J)
+        for "pdf" and (2, J, J) for "slope", in one zero-filled buffer with
+        J // 2 + 1 spare entries before, between and after the blocks.
+        Outside the band last written (``_written``) the buffer holds
+        zeros."""
+        if self._full is None:
+            j = self.points.size
+            pad = j // 2 + 1
+            self._buffer = np.zeros(pad + 2 * (j * j + pad)), pad
+            self._full = {"pdf": self._in_buffer((j, j), 0, j),
+                          "slope": self._in_buffer((2, j, j), 0, j)}
+        return self._full
+
+    def _in_buffer(self, shape: tuple, shift: int, row_step: int) -> np.ndarray:
+        """A view of the matrix buffer in ``shape`` (rows x columns, in one
+        or two blocks) whose entry (b, i, c) sits at offset
+        pad + shift + b (J**2 + pad) + i row_step + c."""
+        if self._buffer is None:
+            self._matrices()
+        buf, pad = self._buffer
+        j, step = self.points.size, buf.itemsize
+        strides = ((j * j + pad) * step,) * (len(shape) - 2) + (row_step * step, step)
+        return np.ndarray(shape, float, buf, (pad + shift) * step, strides)
 
     def pen1(self, h: float) -> float:
-        """Squared gap between the score probabilities and the density."""
-        return float(np.sum((self.probs - self.terms(h, self.points, "pdf")[0]) ** 2))
+        """Squared gap between the score probabilities and the density.
+
+        The density at the score points is the (J, J) matrix product of the
+        banded kernel (see the class docstring): the band of g, written
+        into a zero-filled matrix, has the bits of g over every column, so
+        PEN1 has the bits of the whole kernel's."""
+        return float(np.sum((self.probs - self._penalty_sums(h, "pdf")) ** 2))
 
     def pen1_floors(self, hs: np.ndarray) -> np.ndarray:
         """A lower bound of ``pen1(h)`` for each h in ``hs``.
@@ -274,7 +469,7 @@ class _Smoothing:
             block = shrink[start:start + step]
             a, ah = (block[:, k, None, None] for k in (0, 1))
             u, arg, gauss = self._work((len(block), x.size, j))
-            self._offsets(x, a, ah, u)
+            self._offsets(x[..., None], self.points, a, ah, u)
             self._gauss(u, arg, gauss)
             np.matmul(gauss.reshape(-1, j), self.probs, out=f[start:start + step].reshape(-1))
         peak = INV_SQRT_2PI / shrink[:, 1:]
@@ -285,9 +480,15 @@ class _Smoothing:
 
     def pen2(self, h: float) -> float:
         """Score points where the density slopes down a quarter point to the
-        left without turning up a quarter point to the right."""
-        left, right = self.terms(h, self.probes, "slope")[0]
-        return float(np.sum((left < 0.0) & ~(right > 0.0)))
+        left without turning up a quarter point to the right.
+
+        The slopes at the probes are the stacked (2, J, J) product of the
+        banded kernel's -u g, with the two probe blocks more than k entries
+        apart in the matrix buffer (see the class docstring).  A slope sum
+        differs from the whole kernel's at most in the sign of an exact
+        zero, which neither ``< 0`` nor ``> 0`` tells apart."""
+        left, right = self._penalty_sums(h, "slope")
+        return float(np.count_nonzero((left < 0.0) & ~(right > 0.0)))
 
     def penalty(self, h: float, kpen: float, pen1: float | None = None) -> float:
         """PEN1 + kpen * PEN2, with PEN1 taken from ``pen1`` when given."""

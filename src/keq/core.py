@@ -10,6 +10,7 @@ parallel workers.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import itertools
@@ -520,8 +521,9 @@ def read_person_csv(path, score_column: str = "score",
 
     The file must be UTF-8 text with unique header names, a ``score``
     column of integers and one column per covariate; empty fields are
-    rejected.  ``covariate_columns`` restricts which columns are kept
-    (default: all non-score columns).
+    rejected.  One leading byte-order mark, as spreadsheet programs write
+    in "CSV UTF-8", is dropped.  ``covariate_columns`` restricts which
+    columns are kept (default: all non-score columns).
 
     Plain files (ASCII without quotes or carriage returns, short tokens)
     are parsed in one ``np.loadtxt`` pass.  Every other file, and every
@@ -530,12 +532,14 @@ def read_person_csv(path, score_column: str = "score",
     """
     with open(path, "rb") as fh:
         data = fh.read()
+    bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    data = data[bom:]
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         before = data[:exc.start]
         line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
-        raise CsvFormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}",
+        raise CsvFormatError(f"not UTF-8 text: {exc.reason} at byte {bom + exc.start}",
                              line=line, path=path) from None
     rows = csv.reader(io.StringIO(text, newline=""))
     try:

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -129,6 +130,26 @@ class TestCmdEquate:
             assert all("IRLS stopped after 1 iterations" in line for line in err)
         assert ((tmp_path / "quiet.csv").read_bytes()
                 == (tmp_path / "verbose.csv").read_bytes())
+
+    def test_byte_order_mark_gives_the_same_table(self, person_files, tmp_path):
+        # Spreadsheet programs write "CSV UTF-8" with a leading byte-order
+        # mark.  Both copies end lines in LF, which the columnar pass takes.
+        plain = [tmp_path / f"plain_{path.name}" for path in person_files]
+        boms = [tmp_path / f"bom_{path.name}" for path in person_files]
+        for path, lf, bom in zip(person_files, plain, boms):
+            text = path.read_bytes().replace(b"\r\n", b"\n")
+            lf.write_bytes(text)
+            bom.write_bytes(b"\xef\xbb\xbf" + text)
+        outs = []
+        # The columnar pass reads every file: the row loop is never reached.
+        with mock.patch.object(keq.core, "_body_by_rows") as rows:
+            for paths in (plain, boms):
+                out = tmp_path / f"{paths[0].stem}_table.csv"
+                assert main(["equate", "--design", "nec", "--p", str(paths[0]),
+                             "--q", str(paths[1]), *NEC_FLAGS, "--out", str(out)]) == 0
+                outs.append(out.read_bytes())
+        rows.assert_not_called()
+        assert outs[0] == outs[1]
 
     def test_unconverged_covariate_run_presmoothing_warns(self, person_files, tmp_path,
                                                           capsys, monkeypatch):

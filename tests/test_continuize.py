@@ -1,6 +1,7 @@
 """Tests for Gaussian-kernel continuization and bandwidth selection."""
 
 import math
+import tracemalloc
 from collections import Counter
 from unittest.mock import patch
 
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import binom, norm
 
+import keq.continuize
 from keq.core import EquatingTable, ScoreDistribution, ScoreScale, ValidationError, substream
 from keq.continuize import (
+    BAND_CACHE_BYTES,
     EXP_NORMAL,
     EXP_ZERO,
     H_MAX_SD_FACTOR,
@@ -139,6 +142,11 @@ def unmasked_penalty(dist, h, kpen):
                                  cdf=False)[1]
     pen1 = float(np.sum((dist.probs - pdf) ** 2))
     return pen1 + kpen * float(np.sum((left < 0.0) & ~(right > 0.0))) if kpen else pen1
+
+
+def cached_operand_bytes():
+    """Bytes held by the band operands every smoothing shares."""
+    return sum(keq.continuize._operand_bytes(v) for v in keq.continuize._band_cache.values())
 
 
 def subnormal_redos():
@@ -274,6 +282,38 @@ def dense_or_sparse(draw):
         if np.count_nonzero(weights) < 2:
             weights[[0, n]] += 1
     return ScoreDistribution(ScoreScale(0, n), weights / weights.sum())
+
+
+@st.composite
+def offset_tables(draw):
+    """A score distribution on ScoreScale(m, m + n) with m != 0 (dense, or a
+    pass-through table of a few draws), two bandwidths from half to twice
+    where PEN1 and PEN2 switch from the band to the full kernel, and
+    whether to evaluate them in the state a redo leaves (exp cut at
+    EXP_ZERO)."""
+    n = draw(st.integers(4, 120))
+    m = draw(st.integers(-300, 300).filter(bool))
+    if draw(st.booleans()):
+        weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n + 1,
+                                         max_size=n + 1)))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        weights = np.bincount(rng.binomial(n, draw(st.floats(0.05, 0.95)),
+                                           draw(st.integers(2, 400))), minlength=n + 1)
+        if np.count_nonzero(weights) < 2:
+            weights[[0, n]] += 1
+    dist = ScoreDistribution(ScoreScale(m, m + n), weights / weights.sum())
+    # The band is taken while 4k + 2 < J, with k about R a h.
+    switch = (n + 1) / (4.0 * math.sqrt(-2.0 * EXP_NORMAL))
+    hs = [switch * draw(st.floats(0.5, 2.0)) for _ in range(2)]
+    return dist, hs, draw(st.booleans())
+
+
+def half_width_oracle(dist, h, cut):
+    """The band's half-width for bandwidth h and exp cut ``cut``."""
+    a = math.sqrt(dist.variance / (dist.variance + h**2))
+    reach = float(np.max(np.abs(dist.scale.points - dist.mean)))
+    return math.ceil(math.sqrt(-2.0 * cut) * (1.0 + 1e-9) * a * h + 0.25 + (1.0 - a) * reach)
 
 
 class TestKernelCdf:
@@ -573,6 +613,100 @@ class TestExactZeros:
             assert np.array_equal(value, copy)
         for value, again in zip(first, _kernel(c, x, "cdf", "pdf", "slope")):
             assert np.array_equal(value, again)
+
+
+class TestBandedKernel:
+    @PROPERTY
+    @given(offset_tables())
+    @example((binomial_dist(60, 0.4), [0.3, 0.45], True))
+    def test_penalties_equal_unmasked_formula(self, table):
+        dist, hs, redo = table
+        points = dist.scale.points.astype(float)
+        smoothing = _Smoothing(dist)
+        if redo:
+            smoothing._exp_cut = EXP_ZERO  # as _with_subnormals leaves it
+        # One smoothing across both bandwidths and back: a band of one
+        # half-width must leave no trace in the next.
+        for h in (*hs, hs[0]):
+            for kpen in (0.0, 1.0):
+                expected = unmasked_penalty(dist, h, kpen)
+                assert penalty(dist, h, kpen) == expected
+                assert smoothing.penalty(h, kpen) == expected
+            # PEN1's density against the unmasked gauss @ probs.
+            pdf = unmasked_terms(dist, h, points, cdf=False)[0]
+            assert smoothing._penalty_sums(h, "pdf").tobytes() == pdf.tobytes()
+
+    @PROPERTY
+    @given(offset_tables(), st.sampled_from([EXP_NORMAL, EXP_ZERO]))
+    def test_every_entry_outside_the_band_is_cut(self, table, cut):
+        dist, hs, _ = table
+        smoothing = _Smoothing(dist)
+        points = dist.scale.points.astype(float)
+        columns = np.arange(points.size)
+        for h in hs:
+            k = half_width_oracle(dist, h, cut)
+            assert smoothing._half_width(*smoothing._shrink(h), cut) in (k, None)
+            outside = np.abs(columns[:, None] - columns) > k
+            for x in (points, np.stack([points - 0.25, points + 0.25])):
+                u = unmasked_kernel(dist, h, x)[0]
+                assert np.all((-0.5 * u**2)[..., outside] <= cut)
+
+    def test_most_scenario_5_penalties_take_the_band(self):
+        # A work-count guard: about 80 % of the PEN1 and PEN2 evaluations of
+        # GKE and sequential GKE on scenario 5 take the band.
+        scenario, half_width, widths = ScenarioSpec.from_table(5), _Smoothing._half_width, []
+
+        def spy(self, a, ah, cut):
+            widths.append(half_width(self, a, ah, cut))
+            return widths[-1]
+
+        with patch.object(_Smoothing, "_half_width", spy):
+            for rep in range(3):
+                p, q = (gen_population(pop, scenario, seed=substream(0, rep, key))
+                        for key, pop in enumerate("PQ"))
+                PipelineSpec("GKE").run(p, q)
+                PipelineSpec("sequential GKE", OTHER_SCORE).run(p, q)
+        assert sum(k is not None for k in widths) >= 0.7 * len(widths)
+
+    def test_replications_stay_within_their_memory(self):
+        # The tracemalloc peak of three scenario-5 replications (GKE and
+        # sequential GKE) from an empty operand cache: 3.3 MB of working
+        # memory, and 1.8 MB of band operands, within BAND_CACHE_BYTES.
+        scenario = ScenarioSpec.from_table(5)
+        keq.continuize._band_cache.clear()
+        tracemalloc.start()
+        try:
+            for rep in range(3):
+                p, q = (gen_population(pop, scenario, seed=substream(0, rep, key))
+                        for key, pop in enumerate("PQ"))
+                PipelineSpec("GKE").run(p, q)
+                PipelineSpec("sequential GKE", OTHER_SCORE).run(p, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cached_operand_bytes() <= BAND_CACHE_BYTES
+        assert peak <= 4e6 + BAND_CACHE_BYTES
+
+    def test_operand_cache_keeps_to_its_budget(self):
+        # A 301-point scale's operands pass the budget: the cache drops the
+        # oldest first, and keeps none larger than the budget on its own
+        # (the full kernel's, 2.9 MB, at h = 20).
+        keq.continuize._band_cache.clear()
+        dist = binomial_dist(300, 0.5)
+        smoothing = _Smoothing(dist)
+        for h in [*np.linspace(0.1, 2.0, 8), 20.0]:
+            assert smoothing.pen1(h) == unmasked_penalty(dist, h, 0.0)
+            assert cached_operand_bytes() <= BAND_CACHE_BYTES
+        assert None in smoothing._bands
+        assert len(smoothing._bands) > len(keq.continuize._band_cache)
+        assert all(k is not None for _, _, k in keq.continuize._band_cache)
+
+    def test_inversion_allocates_no_penalty_scratch(self):
+        c = ContinuizedCdf(binomial_dist(40, 0.3), 0.5)
+        cached = list(keq.continuize._band_cache)
+        inverse_cdf(c, np.linspace(0.01, 0.99, 25))
+        assert c._smoothing._bands == {} and c._smoothing._buffer is None
+        assert list(keq.continuize._band_cache) == cached
 
 
 class TestNormalCdf:
