@@ -146,8 +146,11 @@ class _Smoothing:
 
     Holds what does not depend on h: the score points, their
     probabilities, the mean and variance, and PEN2's probe points.  A
-    bandwidth search forms it once and evaluates every h against it.  Its
-    scratch arrays (see ``_work``) make it unsafe to share between threads.
+    bandwidth search forms it once and evaluates every h against it.  It
+    gives the CDF and density at any x as row sums (``terms``), and PEN1's
+    density and PEN2's slope as matrix products over a band
+    (``_penalty_sums``).  Its scratch arrays (see ``_work``) make it unsafe
+    to share between threads.
 
     PEN1 and PEN2 form their kernel matrices, g_ij at the score points and
     -u_ij g_ij at the probes, only on a band where g can be nonzero: the
@@ -211,13 +214,13 @@ class _Smoothing:
     def terms(self, h: float, x, *terms):
         """The asked-for terms at bandwidth h and x (scalar or array), in order.
 
-        "cdf" is the CDF, "pdf" the density and "slope" the density's first
-        derivative; "row_pdf" is the density summed row by row, like "cdf",
-        so that its bits do not depend on where x sits in the batch (a
-        matrix product's do).  All of them rest on
+        "cdf" is the CDF and "row_pdf" the density, each summed row by row
+        so that a point's bits do not depend on where it sits in the batch
+        (a matrix product's do); any other name raises.  Both rest on
         u = (x - a*x_j - (1-a)*mu) / (a*h) for every score point j, formed
-        here once over every x and j (``_offsets``); PEN1 and PEN2 form
-        the same u on a band only (see the class docstring).
+        here once over every x and j (``_offsets``).  PEN1's density at the
+        score points and PEN2's slope at the probes form the same u on a
+        band instead (``_penalty_sums``; see the class docstring).
 
         "cdf" sums Phi(u) = erfc(-u / sqrt 2) / 2 weighted by the score
         probabilities.  ``_phi`` calls math.erfc only where
@@ -226,24 +229,25 @@ class _Smoothing:
         (from u ~ -38.4754 down), and ``_phi`` sets those values, so every
         entry has the formula's bits.
 
-        "pdf", "row_pdf" and "slope" sum p_j g_j and -p_j u_j g_j over the
-        score points, with the Gaussian factor g = exp(-u**2 / 2) formed once.
-        exp is called only where -u**2 / 2 > EXP_NORMAL, so g is zero
-        wherever exp would give a subnormal or zero.  That leaves every
-        sum unchanged once it reaches GAUSS_SUM_MIN = 2**-800:
-        a dropped term is below 39 * DBL_MIN = 39 * 2**-1022 in magnitude
-        (|u| < 39 there), so all of them together are below 2**-990, far
-        less than half an ulp (at least 2**-853) of such a sum, which
-        rounds to the same value with or without them.  Where a density or
-        slope sum is below 2**-800 (a density far out in a tail, a slope
-        that cancels to zero) the subnormals could show, so the whole call
-        is redone with exp wherever -u**2 / 2 > EXP_ZERO, which leaves zero
-        only where exp gives exactly 0.0 (``_with_subnormals``).  From then
-        on this smoothing calls exp down to EXP_ZERO (``_exp_cut``) and
-        needs no redo: where tiny sums are common, as on sparse
-        pass-through tables, paying for the subnormals on every call is
-        cheaper than redoing call after call.  Either way every result has
-        the same bits as exp over the whole array.
+        "row_pdf" sums p_j g_j over the score points, and PEN1 and PEN2
+        sum p_j g_j and -p_j u_j g_j, with the Gaussian factor
+        g = exp(-u**2 / 2).  exp is called only where
+        -u**2 / 2 > EXP_NORMAL, so g is zero wherever exp would give a
+        subnormal or zero.  That leaves every sum unchanged once it reaches
+        GAUSS_SUM_MIN = 2**-800: a dropped term is below
+        39 * DBL_MIN = 39 * 2**-1022 in magnitude (|u| < 39 there), so all
+        of them together are below 2**-990, far less than half an ulp (at
+        least 2**-853) of such a sum, which rounds to the same value with
+        or without them.  Where a density or slope sum is below 2**-800 (a
+        density far out in a tail, a slope that cancels to zero) the
+        subnormals could show, so the sum is redone with exp wherever
+        -u**2 / 2 > EXP_ZERO, which leaves zero only where exp gives
+        exactly 0.0 (``_with_subnormals``).  From then on this smoothing
+        calls exp down to EXP_ZERO (``_exp_cut``) and needs no redo: where
+        tiny sums are common, as on sparse pass-through tables, paying for
+        the subnormals on every call is cheaper than redoing call after
+        call.  Either way every result has the same bits as exp over the
+        whole array.
         """
         scalar = np.ndim(x) == 0
         x = np.asarray(x, dtype=float)
@@ -252,17 +256,20 @@ class _Smoothing:
         a, ah = self._shrink(h)
         u, arg, gauss = self._work((*x.shape, self.points.size))
         self._offsets(x[..., None], self.points, a, ah, u)
-        sums = {}
-        if "pdf" in terms or "row_pdf" in terms or "slope" in terms:
-            sums = self._checked(lambda cut: self._gauss_sums(u, arg, gauss, terms, cut))
+
+        def row_sums(cut):
+            self._gauss(u, arg, gauss, cut)
+            np.multiply(gauss, self.probs, out=arg)
+            return arg.sum(axis=-1)
+
         out = []
         for term in terms:
             if term == "cdf":
-                # A row sum, not a matrix product: BLAS rounds a row differently
-                # depending on where it sits in the batch, and the inverse must not.
                 value = (_phi(u) * self.probs).sum(axis=-1)
+            elif term == "row_pdf":
+                value = self._checked(row_sums) * INV_SQRT_2PI / ah
             else:
-                value = self._scaled(term, sums[term], ah)
+                raise ValueError(f"unknown kernel term {term!r}")
             out.append(float(value) if scalar else value)
         return out
 
@@ -288,44 +295,19 @@ class _Smoothing:
         gauss.fill(0.0)
         np.exp(arg, out=gauss, where=arg > cut)
 
-    def _gauss_sums(self, u, scratch, gauss, terms, cut: float) -> dict:
-        """sum_j p_j g_j for "pdf" (a matrix product) and "row_pdf" (a row
-        sum), and -sum_j p_j u_j g_j for "slope", if asked for in ``terms``,
-        with the Gaussian factor g formed into ``gauss`` above ``cut``."""
-        self._gauss(u, scratch, gauss, cut)
-        sums = {}
-        if "pdf" in terms:
-            sums["pdf"] = gauss @ self.probs
-        if "row_pdf" in terms:
-            np.multiply(gauss, self.probs, out=scratch)
-            sums["row_pdf"] = scratch.sum(axis=-1)
-        if "slope" in terms:
-            np.negative(u, out=scratch)
-            scratch *= gauss
-            sums["slope"] = scratch @ self.probs
-        return sums
-
-    @staticmethod
-    def _scaled(term: str, sums, ah: float):
-        """The density ("pdf", "row_pdf") or slope from its sums over j."""
-        if term == "slope":
-            return sums * INV_SQRT_2PI / ah**2
-        return sums * INV_SQRT_2PI / ah
-
-    def _checked(self, sums_at) -> dict:
-        """``sums_at(cut)``, a dict of density or slope sums with exp taken
-        above ``cut``, at this smoothing's exp cut; redone with the
-        subnormals (``_with_subnormals``) where a sum is below
-        GAUSS_SUM_MIN (see ``terms``)."""
+    def _checked(self, sums_at) -> np.ndarray:
+        """``sums_at(cut)``, density or slope sums with exp taken above
+        ``cut``, at this smoothing's exp cut; redone with the subnormals
+        (``_with_subnormals``) where a sum is below GAUSS_SUM_MIN (see
+        ``terms``)."""
         sums = sums_at(self._exp_cut)
-        # One reduction per sum; fmin passes over NaN as the comparison would.
-        if self._exp_cut == EXP_NORMAL and any(
-                np.fmin.reduce(np.abs(v), axis=None, initial=np.inf) < GAUSS_SUM_MIN
-                for v in sums.values()):
+        # One reduction; fmin passes over NaN as the comparison would.
+        if (self._exp_cut == EXP_NORMAL
+                and np.fmin.reduce(np.abs(sums), axis=None, initial=np.inf) < GAUSS_SUM_MIN):
             sums = self._with_subnormals(sums_at)
         return sums
 
-    def _with_subnormals(self, sums_at) -> dict:
+    def _with_subnormals(self, sums_at) -> np.ndarray:
         """The sums of ``sums_at`` taken again with exp called wherever
         -u**2 / 2 > EXP_ZERO, subnormal values included, and with this
         smoothing's exp cut moved there (``_exp_cut``), so later calls need
@@ -337,8 +319,8 @@ class _Smoothing:
         """The density at the score points ("pdf", for PEN1) or the slope at
         PEN2's probes ("slope"), from the banded kernel (``_band_product``)."""
         a, ah = self._shrink(h)
-        sums = self._checked(lambda cut: {term: self._band_product(term, a, ah, cut)})
-        return self._scaled(term, sums[term], ah)
+        sums = self._checked(lambda cut: self._band_product(term, a, ah, cut))
+        return sums * INV_SQRT_2PI / (ah**2 if term == "slope" else ah)
 
     def _band_product(self, term: str, a: float, ah: float, cut: float) -> np.ndarray:
         """sum_j p_j g_ij (term "pdf", rows at the score points) or
@@ -441,10 +423,12 @@ class _Smoothing:
         row (a, ah) of ``shrink``, each no more than the float PEN1 at h.
 
         ``shrink`` holds ``_shrink(h)``, so u and the masked Gaussian factor
-        have the bits that ``terms`` gives them, and f~_i differs from the
-        density f_i that ``pen1`` uses only in the rounding of its sum and
-        scaling (a matrix product rounds a row by its position), and in the
-        subnormals that ``terms`` may fill in.  Any order of a J-term sum
+        have the bits that PEN1's banded kernel gives them
+        (``_band_product``; the factor is zero outside the band either
+        way), and f~_i differs from the density f_i that ``pen1`` uses only
+        in the rounding of its sum and scaling (a matrix product rounds a
+        row by its position), and in the subnormals that the redo may fill
+        in (``_with_subnormals``).  Any order of a J-term sum
         of nonnegative products is within J eps of the exact one (eps =
         2**-53), plus J 2**-1075 from products that underflow; the
         subnormals add at most DBL_MIN = 2**-1022 (the p_j sum to one); the
@@ -672,7 +656,8 @@ def _bracket_grid(c: ContinuizedCdf, p_min: float, p_max: float) -> np.ndarray:
 
 
 def inverse_cdf(c: ContinuizedCdf, p):
-    """The x with CDF(x) = p, for a scalar p or for every entry of an array.
+    """The x with CDF(x) = p, for a scalar p or for every entry of an array,
+    in p's shape.
 
     All points are solved at once by a bracketed Newton iteration.  One
     CDF evaluation on a fixed grid (see ``_bracket_grid``) gives each p a
@@ -690,14 +675,15 @@ def inverse_cdf(c: ContinuizedCdf, p):
     the result for one p does not depend on the batch it is solved in.
     """
     scalar = np.ndim(p) == 0
-    p = np.atleast_1d(np.asarray(p, dtype=float))
+    shape = np.shape(p)
+    p = np.asarray(p, dtype=float).ravel()
     inside = (p > 0.0) & (p < 1.0)
     if not np.all(inside):
         raise ValidationError(
             f"p must lie strictly inside (0, 1), got {p[~inside][0]}"
         )
     if p.size == 0:
-        return p
+        return p.reshape(shape)
     grid = _bracket_grid(c, float(p.min()), float(p.max()))
     fgrid = kernel_cdf(c, grid)
     k = np.searchsorted(fgrid, p)  # fgrid[k - 1] < p <= fgrid[k]
@@ -737,4 +723,4 @@ def inverse_cdf(c: ContinuizedCdf, p):
             x = x - new_step
     if open_.size:
         raise KeqError(f"inverse CDF did not converge in {INVERSE_MAX_ITER} iterations")
-    return float(result[0]) if scalar else result
+    return float(result[0]) if scalar else result.reshape(shape)

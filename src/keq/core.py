@@ -340,12 +340,16 @@ class Dataset:
             if not np.all(scores == np.round(scores)):
                 bad = int(np.argmax(scores != np.round(scores)))
                 raise ValidationError(f"record {bad}: non-integer score {scores[bad]}")
-        scores = scores.astype(np.int64)
+        # Checked before the cast to int64, which would wrap inf, 1e30 or a
+        # uint64 past 2**63 into the range.
         in_scale = (scores >= self.scale.min) & (scores <= self.scale.max)
         if not np.all(in_scale):
             bad = int(np.argmax(~in_scale))
+            value = scores[bad]
+            if scores.dtype.kind == "f" and abs(value) < 2.0**63:
+                value = int(value)
             raise ValidationError(
-                f"record {bad}: score {scores[bad]} outside scale "
+                f"record {bad}: score {value} outside scale "
                 f"[{self.scale.min}, {self.scale.max}]"
             )
         object.__setattr__(self, "scores", _frozen_array(scores, dtype=np.int64))

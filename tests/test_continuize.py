@@ -36,7 +36,8 @@ from keq.continuize import (
     penalty,
     select_bandwidth,
 )
-from keq.equate import EquatingMap, GkePipelineConfig, NecInput, PipelineSpec, _target_probs
+from keq.equate import (ComposedMap, EquatingMap, GkePipelineConfig, NecInput, PipelineSpec,
+                        _target_probs)
 from keq.simulate import OTHER_SCORE, ScenarioSpec, gen_population
 
 
@@ -372,11 +373,17 @@ class TestKernelPdf:
             ContinuizedCdf(d, 1.0)
 
     def test_derivative_matches_finite_difference(self):
-        d = binomial_dist(10, 0.5)
-        c = ContinuizedCdf(d, 0.9)
-        for x in (2.3, 5.0, 7.75):
-            fd = (kernel_pdf(c, x + 1e-6) - kernel_pdf(c, x - 1e-6)) / 2e-6
-            assert _kernel(c, x, "slope")[0] == pytest.approx(fd, rel=1e-4)
+        # PEN2's slope at its probes against the density's central difference.
+        c = ContinuizedCdf(binomial_dist(10, 0.5), 0.9)
+        probes = c._smoothing.probes
+        fd = (kernel_pdf(c, probes + 1e-6) - kernel_pdf(c, probes - 1e-6)) / 2e-6
+        assert c._smoothing._penalty_sums(c.h, "slope") == pytest.approx(fd, rel=1e-4)
+
+    @pytest.mark.parametrize("term", ["pdf", "slope"])
+    def test_unknown_term_raises(self, term):
+        c = ContinuizedCdf(binomial_dist(10, 0.5), 0.9)
+        with pytest.raises(ValueError, match="unknown kernel term"):
+            _kernel(c, 2.0, "cdf", term)
 
 
 class TestBandwidthSelection:
@@ -519,12 +526,14 @@ class TestExactZeros:
         rng = np.random.default_rng(4)
         counts = np.bincount(rng.binomial(60, 0.45, 40), minlength=61)
         dist = ScoreDistribution(ScoreScale(0, 60), counts / counts.sum())
-        c = ContinuizedCdf(dist, h)
+        c, smoothing = ContinuizedCdf(dist, h), _Smoothing(dist)
         points = dist.scale.points.astype(float)
+        pdf = unmasked_terms(dist, h, points, cdf=False)[0]
+        slope = unmasked_terms(dist, h, smoothing.probes, cdf=False)[1]
+        assert np.array_equal(smoothing._penalty_sums(h, "pdf"), pdf)  # PEN1's density
+        assert np.array_equal(smoothing._penalty_sums(h, "slope"), slope)  # PEN2's
         x = np.concatenate([points, np.linspace(-30.0, 90.0, 241)])
-        pdf, slope, cdf = unmasked_terms(dist, h, x)
-        assert np.array_equal(_kernel(c, x, "pdf")[0], pdf)  # PEN1's density
-        assert np.array_equal(_kernel(c, x, "pdf", "slope")[1], slope)
+        cdf = unmasked_terms(dist, h, x)[2]
         assert np.array_equal(kernel_pdf(c, x), unmasked_row_pdf(dist, h, x))
         assert np.array_equal(kernel_cdf(c, x), cdf)
         assert kernel_cdf(c, 17.0) == unmasked_terms(dist, h, np.array(17.0))[2]
@@ -555,9 +564,13 @@ class TestExactZeros:
         reach = data.draw(st.floats(0.0, 20.0)) * (n + h)
         x = np.concatenate([dist.scale.points.astype(float),
                             np.linspace(-reach, n + reach, data.draw(st.integers(1, 60)))])
-        pdf, slope = _kernel(ContinuizedCdf(dist, h), x, "pdf", "slope")
-        expected = unmasked_terms(dist, h, x, cdf=False)
-        assert np.array_equal(pdf, expected[0]) and np.array_equal(slope, expected[1])
+        smoothing = _Smoothing(dist)
+        assert np.array_equal(smoothing._penalty_sums(h, "pdf"),
+                              unmasked_terms(dist, h, smoothing.points, cdf=False)[0])
+        assert np.array_equal(smoothing._penalty_sums(h, "slope"),
+                              unmasked_terms(dist, h, smoothing.probes, cdf=False)[1])
+        assert np.array_equal(kernel_pdf(ContinuizedCdf(dist, h), x),
+                              unmasked_row_pdf(dist, h, x))
         for kpen in (0.0, 1.0):
             assert penalty(dist, h, kpen) == unmasked_penalty(dist, h, kpen)
 
@@ -604,14 +617,21 @@ class TestExactZeros:
 
     def test_terms_outlive_reused_scratch_arrays(self):
         c = ContinuizedCdf(binomial_dist(20, 0.4), 0.6)
+        smoothing = c._smoothing
         x = np.linspace(-2.0, 22.0, 50)
-        first = _kernel(c, x, "cdf", "pdf", "slope")
+
+        def evaluate():
+            return [*_kernel(c, x, "cdf", "row_pdf"),
+                    *(smoothing._penalty_sums(c.h, term) for term in ("pdf", "slope"))]
+
+        first = evaluate()
         kept = [v.copy() for v in first]
-        _kernel(c, np.linspace(0.0, 20.0, 400), "slope", "cdf")  # grows the arrays
-        _kernel(c, 3.0, "pdf")  # and uses a prefix of them
+        _kernel(c, np.linspace(0.0, 20.0, 400), "row_pdf", "cdf")  # grows the arrays
+        _kernel(c, 3.0, "row_pdf")  # and uses a prefix of them
+        smoothing.penalty(0.1, 1.0)  # and writes a band of another half-width
         for value, copy in zip(first, kept):
             assert np.array_equal(value, copy)
-        for value, again in zip(first, _kernel(c, x, "cdf", "pdf", "slope")):
+        for value, again in zip(first, evaluate()):
             assert np.array_equal(value, again)
 
 
@@ -635,6 +655,23 @@ class TestBandedKernel:
             # PEN1's density against the unmasked gauss @ probs.
             pdf = unmasked_terms(dist, h, points, cdf=False)[0]
             assert smoothing._penalty_sums(h, "pdf").tobytes() == pdf.tobytes()
+
+    @PROPERTY
+    @given(st.data())
+    def test_row_sum_density_agrees_with_pen1s(self, data):
+        # At the score points kernel_pdf (a row sum) and PEN1's banded density
+        # (a matrix product) differ only by rounding and dropped subnormals,
+        # within the bound that _Smoothing._subset_floors states.
+        dist = data.draw(dense_or_sparse())
+        grid = bandwidth_grid(dist)
+        h = data.draw(st.floats(float(grid[0]), float(grid[-1])))
+        c = ContinuizedCdf(dist, h)
+        j, eps = dist.scale.n_points, np.finfo(float).eps / 2
+        row = kernel_pdf(c, c._smoothing.points)
+        band = c._smoothing._penalty_sums(h, "pdf")
+        ah = c._smoothing._shrink(h)[1]
+        bound = 2 * (j + 3) * eps * np.maximum(row, band) + j * INV_SQRT_2PI / ah * 2.0**-1022
+        assert np.all(np.abs(row - band) <= bound)
 
     @PROPERTY
     @given(offset_tables(), st.sampled_from([EXP_NORMAL, EXP_ZERO]))
@@ -795,6 +832,21 @@ class TestInverseCdf:
         order = rng.permutation(len(p))
         assert np.array_equal(inverse_cdf(c, p[order]), x[order])
 
+    def test_array_of_any_shape_is_solved_flat(self):
+        uniform = ScoreDistribution(ScoreScale(0, 10), np.full(11, 1.0 / 11))
+        c = ContinuizedCdf(uniform, 0.7)
+        p = np.linspace(0.02, 0.98, 12)
+        flat = inverse_cdf(c, p)
+        for shape in ((3, 4), (2, 3, 2), (12, 1)):
+            assert inverse_cdf(c, p.reshape(shape)).tobytes() == flat.tobytes()
+            assert inverse_cdf(c, p.reshape(shape)).shape == shape
+        assert inverse_cdf(c, np.empty((0, 3))).shape == (0, 3)
+        mapping = EquatingMap(c, ContinuizedCdf(binomial_dist(10, 0.4), 0.6))
+        x = np.linspace(-1.0, 11.0, 12)
+        for m in (mapping, ComposedMap((mapping, mapping))):
+            assert m(x.reshape(3, 4)).tobytes() == m(x).tobytes()
+            assert m(x.reshape(3, 4)).shape == (3, 4)
+
     def test_newton_evaluates_only_open_points(self):
         c = ContinuizedCdf(binomial_dist(20, 0.4), 0.6)
         p = np.concatenate([np.linspace(0.01, 0.99, 50), [1e-12, 1.0 - 1e-12, 1e-6]])
@@ -880,14 +932,22 @@ class TestKernelProperties:
     @PROPERTY
     @given(continuized())
     def test_pdf_and_slope_match_central_differences(self, c):
+        # The density anywhere and at the score points (PEN1's) against the
+        # CDF's central difference; PEN2's slope at its probes against the
+        # density's.
+        smoothing, eps = c._smoothing, 1e-4 * c.h
         x = support_grid(c, 41)
-        eps = 1e-4 * c.h
-        pdf, slope = _kernel(c, x, "pdf", "slope")
+        pdf = kernel_pdf(c, x)
         peak = float(np.max(pdf))
-        cdf_diff = (kernel_cdf(c, x + eps) - kernel_cdf(c, x - eps)) / (2 * eps)
-        pdf_diff = (kernel_pdf(c, x + eps) - kernel_pdf(c, x - eps)) / (2 * eps)
-        assert cdf_diff == pytest.approx(pdf, rel=1e-6, abs=1e-7 * peak)
-        assert pdf_diff == pytest.approx(slope, rel=1e-6, abs=1e-7 * peak / c.h)
+
+        def central(f, at):
+            return (f(c, at + eps) - f(c, at - eps)) / (2 * eps)
+
+        assert central(kernel_cdf, x) == pytest.approx(pdf, rel=1e-6, abs=1e-7 * peak)
+        assert central(kernel_cdf, smoothing.points) == pytest.approx(
+            smoothing._penalty_sums(c.h, "pdf"), rel=1e-6, abs=1e-7 * peak)
+        assert central(kernel_pdf, smoothing.probes) == pytest.approx(
+            smoothing._penalty_sums(c.h, "slope"), rel=1e-6, abs=1e-7 * peak / c.h)
 
     @PROPERTY
     @given(continuized(), continuized(), st.data())
@@ -912,7 +972,7 @@ class TestKernelProperties:
     @given(continuized())
     def test_inverse_undoes_cdf(self, c):
         x = support_grid(c)
-        cdf, pdf = _kernel(c, x, "cdf", "pdf")
+        cdf, pdf = _kernel(c, x, "cdf", "row_pdf")
         # Where the density is tiny the CDF is flat and x is ill-determined.
         x = x[(pdf > 1e-3) & (cdf > 1e-9) & (cdf < 1.0 - 1e-9)]
         assert np.max(np.abs(inverse_cdf(c, kernel_cdf(c, x)) - x), initial=0.0) < 1e-10

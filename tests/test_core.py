@@ -1,5 +1,6 @@
 """Tests for scales, covariate spaces, tables, datasets, and CSV ingestion."""
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -293,6 +294,23 @@ class TestTabulate:
     def test_score_outside_scale_names_record(self):
         with pytest.raises(ValidationError, match="record 1"):
             make_dataset([0, 7], [0, 1], scale=ScoreScale(0, 1))
+
+    @pytest.mark.parametrize("scores, shown", [
+        (np.array([3.0, 11.0]), "11"),
+        (np.array([3.0, np.inf]), "inf"),
+        (np.array([3.0, -np.inf]), "-inf"),
+        (np.array([3.0, 1e30]), "1e+30"),
+        (np.array([3, 2**64 - 1], dtype=np.uint64), str(2**64 - 1)),
+        (np.array([3, 2**63], dtype=np.uint64), str(2**63)),
+    ])
+    def test_score_outside_scale_names_its_value(self, scores, shown):
+        # The scale is checked before the cast to int64, which would wrap
+        # these into the range with a RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as err:
+                make_dataset(scores, [0, 1], scale=ScoreScale(0, 10))
+        assert str(err.value) == f"record 1: score {shown} outside scale [0, 10]"
 
     def test_sampling_recovery(self):
         # Sampling from a table and re-tabulating recovers it within
