@@ -60,6 +60,11 @@ EXP_ZERO = -746.0
 EXP_NORMAL = -708.3964185322642
 GAUSS_SUM_MIN = 2.0**-800
 
+# _Smoothing.pen2_floor certifies a slope only where its sum exceeds its
+# rounding allowance by PEN2_FLOOR_MIN, which covers the subnormals a redo
+# may add.
+PEN2_FLOOR_MIN = 2.0**-790
+
 # The bandwidth grid's PEN1 floors give up this fraction of themselves to
 # cover the rounding of PEN1's own sums (see _Smoothing.pen1_floors).  They
 # sum PEN1's terms over every FLOOR_STRIDE-th score point at every grid
@@ -147,10 +152,11 @@ class _Smoothing:
     Holds what does not depend on h: the score points, their
     probabilities, the mean and variance, and PEN2's probe points.  A
     bandwidth search forms it once and evaluates every h against it.  It
-    gives the CDF and density at any x as row sums (``terms``), and PEN1's
+    gives the CDF and density at any x as row sums (``terms``), PEN1's
     density and PEN2's slope as matrix products over a band
-    (``_penalty_sums``).  Its scratch arrays (see ``_work``) make it unsafe
-    to share between threads.
+    (``_penalty_sums``), and a lower bound of PEN2 from the slopes at one
+    score point (``pen2_floor``).  Its scratch arrays (see ``_work``) and
+    that bound's candidate point make it unsafe to share between threads.
 
     PEN1 and PEN2 form their kernel matrices, g_ij at the score points and
     -u_ij g_ij at the probes, only on a band where g can be nonzero: the
@@ -191,6 +197,7 @@ class _Smoothing:
         self.probes = np.stack([self.points - PEN2_OFFSET, self.points + PEN2_OFFSET])
         self._scratch = [np.empty(0) for _ in range(3)]
         self._exp_cut = EXP_NORMAL
+        self._candidate = None  # pen2_floor's score point (see pen2)
         lo, hi = float(self.points[0]), float(self.points[-1])
         self._reach = max(self.mu - lo, hi - self.mu)  # max_j |x_j - mu|
         self._bandable = max(-lo, hi) < BAND_POINT_MAX
@@ -202,8 +209,9 @@ class _Smoothing:
     def _work(self, shape: tuple) -> list:
         """Arrays of ``shape`` for u, exp's argument and the Gaussian factor,
         reused from call to call.  A bandwidth search on scenario 5 makes
-        some 75 penalty calls, on arrays of up to 163 kB (2 x 101 x 101)
-        in full and of 57 kB (2 x 101 x 35) on a typical band; made
+        some 50 penalty calls (34 PEN1s and 16 PEN2s), on arrays of up to
+        163 kB (2 x 101 x 101) in full and of 57 kB (2 x 101 x 35) on a
+        typical band; made
         afresh, the full ones are faulted in page by page on every call
         whenever the allocator returns them to the system."""
         size = math.prod(shape)
@@ -411,7 +419,10 @@ class _Smoothing:
         FLOOR_REFINE times the smallest, where the bandwidths that can win
         lie.  The sum is scaled by 1 - FLOOR_SLACK.
         """
-        shrink = np.array([self._shrink(h) for h in np.asarray(hs, dtype=float)])
+        hs = np.asarray(hs, dtype=float)
+        # a and a*h as ``_shrink`` forms them, each square a scalar h**2.
+        a = np.sqrt(self.sigma2 / (self.sigma2 + np.array([h**2 for h in hs])))
+        shrink = np.stack([a, a * hs], axis=1)
         subset = self._subset_floors(shrink, slice(0, None, FLOOR_STRIDE))
         refine = np.flatnonzero(subset <= FLOOR_REFINE * subset.min())
         subset[refine] += self._subset_floors(shrink[refine],
@@ -470,9 +481,56 @@ class _Smoothing:
         banded kernel's -u g, with the two probe blocks more than k entries
         apart in the matrix buffer (see the class docstring).  A slope sum
         differs from the whole kernel's at most in the sign of an exact
-        zero, which neither ``< 0`` nor ``> 0`` tells apart."""
+        zero, which neither ``< 0`` nor ``> 0`` tells apart.  The first
+        point counted, if any, becomes ``pen2_floor``'s candidate."""
         left, right = self._penalty_sums(h, "slope")
-        return float(np.count_nonzero((left < 0.0) & ~(right > 0.0)))
+        counted = (left < 0.0) & ~(right > 0.0)
+        first = int(np.argmax(counted))
+        if counted[first]:
+            self._candidate = first
+        return float(np.count_nonzero(counted))
+
+    def pen2_floor(self, h: float) -> float:
+        """A lower bound of ``pen2(h)``: 1.0 where one candidate score point
+        is certainly counted, else 0.0.  It costs about a quarter of a PEN2.
+
+        The candidate is the first point counted by the latest ``pen2`` that
+        counted any, or else the point nearest mu + sigma, on the falling
+        side of a unimodal density.  ``_certifies`` sums its two slopes'
+        terms p_j u_j g_j over its band (``_half_width``; g is 0 beyond it),
+        with u and g formed by ``_band_product``'s operations at this
+        smoothing's exp cut, so each term has the bits of the matrix entry
+        that ``pen2`` multiplies, up to an ulp of exp.  Each sum, there and
+        in ``pen2``'s matrix product, in any order, is within
+        (J + 2) 2**-53 sum_j |p_j u_j g_j| of the exact one, counting the
+        products' rounding and exp's ulp; a later redo
+        (``_with_subnormals``) adds terms below 39 * 2**-1022 each.  So where
+        both sums exceed 4 (J + 4) 2**-53 sum_j |p_j u_j g_j| +
+        PEN2_FLOOR_MIN, ``pen2``'s sums of -p_j u_j g_j are both negative,
+        and stay so through the positive scaling by 1 / (sqrt(2 pi) (a h)**2),
+        which leaves them far above the smallest float: ``pen2`` counts the
+        point.
+        """
+        if self._candidate is None:
+            above = self.mu + math.sqrt(self.sigma2)
+            self._candidate = int(np.argmin(np.abs(self.points - above)))
+        return 1.0 if self._certifies(h, self._candidate) else 0.0
+
+    def _certifies(self, h: float, i: int) -> bool:
+        """Whether both slopes at score point i's probes are certainly
+        negative in ``pen2(h)`` (see ``pen2_floor``)."""
+        a, ah = self._shrink(h)
+        cut, j = self._exp_cut, self.points.size
+        k = self._half_width(a, ah, cut)
+        lo, hi = (0, j) if k is None else (max(i - k, 0), min(i + k + 1, j))
+        u, arg, gauss = np.empty((3, 2, hi - lo))
+        self._offsets(self.probes[:, i, None], self.points[lo:hi], a, ah, u)
+        self._gauss(u, arg, gauss, cut)
+        gauss *= u
+        sums = (gauss @ self.probs[lo:hi]).tolist()
+        sizes = (np.abs(gauss, out=gauss) @ self.probs[lo:hi]).tolist()
+        return all(s > 4 * (j + 4) * 2.0**-53 * size + PEN2_FLOOR_MIN
+                   for s, size in zip(sums, sizes))
 
     def penalty(self, h: float, kpen: float, pen1: float | None = None) -> float:
         """PEN1 + kpen * PEN2, with PEN1 taken from ``pen1`` when given."""
@@ -550,17 +608,20 @@ def select_bandwidth(dist: ScoreDistribution, kpen: float = 1.0) -> float:
     PEN1 and PEN2 are computed only where they can change the result, on
     the grid and in the refinement (see ``_golden_section``).  PEN2 and
     kpen are nonnegative and rounding is monotone, so no penalty is below
-    its PEN1 (which is never NaN), and no PEN1 is below its floor
+    PEN1 + kpen m (PEN1 is never NaN) for a lower bound m of its PEN2
+    (``_Smoothing.pen2_floor``), and no PEN1 is below its floor
     (``_Smoothing.pen1_floors``).  The grid points are visited best-first
-    from a heap keyed by (floor, index) until a point's PEN1 is computed,
-    and by (PEN1, index) from then on: a point popped at its floor gets
-    its PEN1 and goes back in, and a point popped at its PEN1 adds its
-    PEN2.  A point's floor pops before its PEN1 would, so the PEN1s pop in
-    ascending (PEN1, index) order.  The search stops once the popped key
-    exceeds the best penalty so far or equals it at a larger index; every
-    point left has no smaller penalty.  The grid point kept is the one
-    ``np.argmin`` picks over all 64 penalties (the first on ties), so the
-    result equals that of the search that computes every penalty in full.
+    from a heap keyed by (lower bound, index), each point's key rising
+    through up to three stages: a point
+    popped at its floor gets PEN2's floor m; if m >= 1 it goes back in at
+    floor + kpen m and gets its PEN1 only when that key pops, and if m is
+    0 (or kpen is) it gets its PEN1 at once; it goes back in at
+    PEN1 + kpen m and gets its PEN2 only when that key pops.  The search
+    stops once the popped key exceeds the best penalty so far or equals it
+    at a larger index; every point left has no smaller penalty.  The grid
+    point kept is the one ``np.argmin`` picks over all 64 penalties (the
+    first on ties), so the result equals that of the search that computes
+    every penalty in full.
     """
     if dist.variance <= 0 or np.count_nonzero(dist.probs) < 2:
         raise ValidationError("bandwidth undefined for point mass")
@@ -571,46 +632,67 @@ def select_bandwidth(dist: ScoreDistribution, kpen: float = 1.0) -> float:
     grid = np.geomspace(H_MIN, max(h_max, H_MIN * 1.01), num=64)
     heap = [(float(floor), i) for i, floor in enumerate(smoothing.pen1_floors(grid))]
     heapq.heapify(heap)
-    exact = [False] * len(grid)
+    # Each point's stage (0 at its floor, 1 at floor + kpen m, 2 at
+    # PEN1 + kpen m), its PEN2 floor m and its PEN1 p1.
+    stage, m, p1 = [0] * len(grid), [0.0] * len(grid), [0.0] * len(grid)
     best, value = len(grid), np.inf
     while heap and heap[0] <= (value, best):
         key, i = heapq.heappop(heap)
-        if not exact[i]:  # key is the floor
-            exact[i] = True
-            heapq.heappush(heap, (smoothing.pen1(grid[i]), i))
+        if stage[i] == 0 and kpen != 0.0:
+            stage[i] = 1
+            m[i] = smoothing.pen2_floor(grid[i])
+            if m[i]:
+                heapq.heappush(heap, (key + kpen * m[i], i))
+                continue
+        if stage[i] < 2:
+            stage[i] = 2
+            p1[i] = smoothing.pen1(grid[i])
+            heapq.heappush(heap, (p1[i] + kpen * m[i], i))
             continue
-        total = smoothing.penalty(grid[i], kpen, key)
+        total = smoothing.penalty(grid[i], kpen, p1[i])
         if (total, i) < (value, best):
             best, value = i, total
+
+    def total(h: float, pen1: float, loses=lambda v: False) -> float:
+        """The penalty at h, whose PEN1 is ``pen1``, or a lower bound of it
+        for which ``loses`` holds.  PEN2's floor is sought only where a
+        floor of one could make the bound lose."""
+        if loses(pen1):
+            return pen1
+        if kpen != 0.0 and loses(pen1 + kpen):
+            bound = pen1 + kpen * smoothing.pen2_floor(h)
+            if loses(bound):
+                return bound
+        return smoothing.penalty(h, kpen, pen1)
+
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
-    return _golden_section(smoothing.pen1, lambda h, p1: smoothing.penalty(h, kpen, p1),
-                           lo, hi, best=(float(grid[best]), value))
+    return _golden_section(smoothing.pen1, total, lo, hi, best=(float(grid[best]), value))
 
 
 def _golden_section(pen1, total, lo: float, hi: float, best: tuple[float, float],
                     tol: float = 1e-7) -> float:
     """Golden-section refinement that returns the best *evaluated* point.
 
-    ``pen1(h)`` is PEN1 and ``total(h, pen1)`` the full penalty.  The
-    penalty has step discontinuities (PEN2 is integer-valued), so the
-    plain golden-section midpoint may land just past a step; tracking the
-    best evaluation keeps the result on the right side of it.
+    ``pen1(h)`` is PEN1 and ``total(h, pen1, loses)`` the full penalty, or
+    a lower bound of it for which ``loses`` holds.  The penalty has step
+    discontinuities (PEN2 is integer-valued), so the plain golden-section
+    midpoint may land just past a step; tracking the best evaluation keeps
+    the result on the right side of it.
 
-    A new point's PEN1 is a lower bound of its penalty, so the full
-    penalty is computed only where it can win the next comparison with the
-    point kept: a new c needs it unless its PEN1 >= fd, a new d unless its
-    PEN1 > fc (c wins ties).  A point left at its PEN1 is discarded by that
-    comparison and is never below ``best``, so the points evaluated, the
-    branches taken and the result equal those of full evaluation.
+    The full penalty of a new point is needed only where it can win the
+    next comparison with the point kept: a new c's unless a lower bound of
+    it is >= fd, a new d's unless one is > fc (c wins ties).  A point left
+    at such a bound is discarded by that comparison and is never below
+    ``best``, so the points evaluated, the branches taken and the result
+    equal those of full evaluation.
     """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc = total(c, pen1(c))
-    p1 = pen1(d)
-    fd = p1 if p1 > fc else total(d, p1)
+    fd = total(d, pen1(d), lambda v: v > fc)
     for x, fx in ((c, fc), (d, fd)):
         if fx < best[1]:
             best = (x, fx)
@@ -618,15 +700,13 @@ def _golden_section(pen1, total, lo: float, hi: float, best: tuple[float, float]
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            p1 = pen1(c)
-            fc = p1 if p1 >= fd else total(c, p1)
+            fc = total(c, pen1(c), lambda v: v >= fd)
             if fc < best[1]:
                 best = (c, fc)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            p1 = pen1(d)
-            fd = p1 if p1 > fc else total(d, p1)
+            fd = total(d, pen1(d), lambda v: v > fc)
             if fd < best[1]:
                 best = (d, fd)
     return best[0]

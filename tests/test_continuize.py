@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
-from scipy.stats import binom, norm
+from scipy.stats import binom, norm, poisson
 
 import keq.continuize
 from keq.core import EquatingTable, ScoreDistribution, ScoreScale, ValidationError, substream
@@ -194,14 +194,15 @@ def continuized(draw):
 
 @st.composite
 def grid_penalties(draw):
-    """PEN1, its floor and PEN2 on the 64 bandwidth grid points, and PEN1
-    and PEN2 between them.
+    """PEN1, its floor, PEN2 and PEN2's floor on the 64 bandwidth grid
+    points, and PEN1, PEN2 and PEN2's floor between them.
 
     On the grid, PEN1 is high but at a few points, anywhere on the grid,
     whose penalties often tie; its floor is 0, a fraction of it or PEN1
-    itself; PEN2 is anything.  Between grid points PEN1 steps through four
-    small integers per grid cell and PEN2 is picked by the low bits of h,
-    so the refinement's new points often tie the PEN1, or the full
+    itself; PEN2 is anything, and its floor is 0, min(1, PEN2) or PEN2.
+    Between grid points PEN1 steps through four small integers per grid
+    cell, and PEN2 and the choice of its floor are picked by the low bits
+    of h, so the refinement's new points often tie the PEN1, or the full
     penalty, of the point it keeps."""
     pen1 = np.full(64, 8.0)
     low = draw(st.lists(st.integers(0, 63), min_size=1, max_size=6, unique=True))
@@ -211,21 +212,27 @@ def grid_penalties(draw):
     pen2 = np.array(draw(st.lists(st.integers(0, 3), min_size=64, max_size=64)))
     between1 = np.array(draw(st.lists(st.integers(0, 3), min_size=4, max_size=4)))
     between2 = np.array(draw(st.lists(st.integers(0, 3), min_size=8, max_size=8)))
-    return pen1, np.array(fractions) * pen1, pen2, between1, between2
+    floors2 = np.array(draw(st.lists(st.integers(0, 2), min_size=64 + 8, max_size=64 + 8)))
+    return pen1, np.array(fractions) * pen1, pen2, between1, between2, floors2
 
 
-def tied_grid_penalties():
+def tied_grid_penalties(floors2=0):
     """At kpen 1, grid point 10 ties grid point 20's least penalty with a
-    larger PEN1, so the search visits it second and must still keep it."""
+    larger PEN1.  With PEN2's floor 0 (``floors2`` 0) the search visits it
+    second and must still keep it; with the floor PEN2 (``floors2`` 2)
+    point 20 waits at floor + 1, level with point 10's floor."""
     pen1, pen2 = np.full(64, 8.0), np.zeros(64)
     pen1[10], pen1[20], pen2[20] = 1.0, 0.0, 1.0
-    return pen1, pen1.copy(), pen2, np.full(4, 8), np.zeros(8, dtype=int)
+    return (pen1, pen1.copy(), pen2, np.full(4, 8), np.zeros(8, dtype=int),
+            np.full(64 + 8, floors2))
 
 
 def patched_penalties(dist, penalties):
-    """``_Smoothing.pen1``, ``pen1_floors`` and ``pen2`` replaced by
-    ``grid_penalties``' values on the bandwidth grid of ``dist``."""
-    pen1, floors, pen2, between1, between2 = penalties
+    """``_Smoothing.pen1``, ``pen1_floors``, ``pen2`` and ``pen2_floor``
+    replaced by ``grid_penalties``' values on the bandwidth grid of
+    ``dist``.  Choice 0, 1 or 2 of ``floors2`` makes PEN2's floor 0,
+    min(1, PEN2) or PEN2."""
+    pen1, floors, pen2, between1, between2, floors2 = penalties
     grid = bandwidth_grid(dist)
 
     def cell(h):
@@ -243,13 +250,24 @@ def patched_penalties(dist, penalties):
         assert np.array_equal(hs, grid)
         return floors.copy()
 
-    def patched_pen2(self, h):
+    def pen2_and_choice(h):
         k, on_grid = cell(h)
-        return float(pen2[k] if on_grid else between2[int(np.float64(h).view(np.int64)) % 8])
+        if on_grid:
+            return float(pen2[k]), floors2[k]
+        bits = int(np.float64(h).view(np.int64)) % 8
+        return float(between2[bits]), floors2[64 + bits]
+
+    def patched_pen2(self, h):
+        return pen2_and_choice(h)[0]
+
+    def patched_pen2_floor(self, h):
+        value, choice = pen2_and_choice(h)
+        return (0.0, min(1.0, value), value)[choice]
 
     return (patch.object(_Smoothing, "pen1", patched_pen1),
             patch.object(_Smoothing, "pen1_floors", patched_pen1_floors),
-            patch.object(_Smoothing, "pen2", patched_pen2))
+            patch.object(_Smoothing, "pen2", patched_pen2),
+            patch.object(_Smoothing, "pen2_floor", patched_pen2_floor))
 
 
 @st.composite
@@ -472,11 +490,25 @@ class TestBandwidthSelection:
     @PROPERTY
     @given(grid_penalties(), st.sampled_from([0.0, 0.5, 1.0]))
     @example(tied_grid_penalties(), 1.0)
+    @example(tied_grid_penalties(floors2=2), 1.0)
     def test_equals_eager_search_on_any_grid_penalties(self, penalties, kpen):
         dist = binomial_dist(20, 0.5)
-        patch_pen1, patch_floors, patch_pen2 = patched_penalties(dist, penalties)
-        with patch_pen1, patch_floors, patch_pen2:
+        patch_pen1, patch_floors, patch_pen2, patch_pen2_floor = patched_penalties(dist, penalties)
+        with patch_pen1, patch_floors, patch_pen2, patch_pen2_floor:
             assert select_bandwidth(dist, kpen) == eager_search(dist, kpen)[0]
+
+    def test_pen2_floors_spare_most_pen2s_on_scenario_5(self):
+        # A work-count guard: on scenario 5's r and s the search computes at
+        # most 18 full PEN2s on average (15.85 on these 20 searches, 25.1
+        # without PEN2's floors), and still equals the eager search.
+        counts = []
+        for dist in scenario_targets(5, reps=10):
+            with patch.object(_Smoothing, "pen2", autospec=True,
+                              side_effect=_Smoothing.pen2) as pen2_spy:
+                h = select_bandwidth(dist)
+            counts.append(pen2_spy.call_count)
+            assert h == eager_search(dist, 1.0)[0]
+        assert np.mean(counts) <= 18
 
     @PROPERTY
     @given(st.data())
@@ -510,6 +542,62 @@ class TestBandwidthSelection:
         floors = smoothing.pen1_floors(grid)
         assert floors.shape == grid.shape
         assert all(0.0 <= f <= smoothing.pen1(h) for f, h in zip(floors, grid))
+
+
+class TestPen2Floor:
+    @PROPERTY
+    @given(st.data())
+    def test_certified_points_are_counted(self, data):
+        # Every point the certificate accepts is one pen2 counts, fresh and
+        # in the state a redo leaves, and also where pen2 then takes the
+        # redo itself: the certificates are taken before the slopes.
+        table = data.draw(st.one_of(dense_or_sparse(), multimodal(), offset_tables()))
+        if isinstance(table, tuple):
+            dist, hs, redo = table
+        else:
+            dist, grid = table, bandwidth_grid(table)
+            hs = [data.draw(st.floats(float(grid[0]), float(grid[-1]))) for _ in range(2)]
+            redo = data.draw(st.booleans())
+        smoothing = _Smoothing(dist)
+        if redo:
+            smoothing._exp_cut = EXP_ZERO  # as _with_subnormals leaves it
+        for h in hs:
+            certified = [smoothing._certifies(h, i) for i in range(dist.scale.n_points)]
+            floor = smoothing.pen2_floor(h)
+            left, right = smoothing._penalty_sums(h, "slope")
+            counted = (left < 0.0) & ~(right > 0.0)
+            assert not np.any(np.array(certified) & ~counted)
+            assert floor in (0.0, 1.0) and floor <= smoothing.pen2(h)
+
+    def test_declines_a_slope_within_rounding_of_zero(self):
+        # Poisson(4) on 0..20: near h = 0.54 the slope at 3.75, score point
+        # 4's left probe, turns from rising to falling, while the slope at
+        # 4.25 keeps falling.  Within a few ulps of the turn pen2 may count
+        # point 4 on a slope that is only rounding, and the certificate
+        # must not.  Away from the turn it does.
+        probs = poisson.pmf(np.arange(21), 4.0)
+        smoothing = _Smoothing(ScoreDistribution(ScoreScale(0, 20), probs / probs.sum()))
+
+        def slopes(h):
+            left, right = smoothing._penalty_sums(h, "slope")
+            return left[4], right[4]
+
+        lo, hi = 0.5, 0.6
+        assert slopes(lo)[0] > 0.0 > slopes(hi)[0]
+        while np.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if slopes(mid)[0] > 0.0 else (lo, mid)
+        near = [hi]
+        for _ in range(8):
+            near.append(np.nextafter(near[-1], np.inf))
+        counted = 0
+        for h in near:
+            left, right = slopes(h)
+            assert abs(left) < 1e-14 * abs(right) and right < 0.0
+            counted += left < 0.0
+            assert not smoothing._certifies(h, 4)
+        assert counted > 0
+        assert smoothing._certifies(0.6, 4) and smoothing._certifies(hi * (1 + 1e-9), 4)
 
 
 class TestExactZeros:
