@@ -98,7 +98,7 @@ def _read_result_csv(path) -> tuple[str, list[tuple[int, list]]]:
     """Kind ("table" or "metrics") and converted data rows, with their line
     numbers, of a result CSV; a metrics summary row reads as [name, value]."""
     kind, rows = None, []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -324,7 +324,7 @@ def cmd_equate(args) -> int:
 
 def _read_json(path, what: str):
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise UsageError(f"invalid {what} JSON: {exc}") from None
 

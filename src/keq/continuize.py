@@ -9,7 +9,6 @@ keeps the discrete mean and variance exactly.
 
 from __future__ import annotations
 
-import heapq
 import math
 import threading
 from collections import OrderedDict
@@ -60,7 +59,7 @@ EXP_ZERO = -746.0
 EXP_NORMAL = -708.3964185322642
 GAUSS_SUM_MIN = 2.0**-800
 
-# _Smoothing.pen2_floor certifies a slope only where its sum exceeds its
+# _Smoothing.pen2_floors certifies a slope only where its sum exceeds its
 # rounding allowance by PEN2_FLOOR_MIN, which covers the subnormals a redo
 # may add.
 PEN2_FLOOR_MIN = 2.0**-790
@@ -154,9 +153,10 @@ class _Smoothing:
     bandwidth search forms it once and evaluates every h against it.  It
     gives the CDF and density at any x as row sums (``terms``), PEN1's
     density and PEN2's slope as matrix products over a band
-    (``_penalty_sums``), and a lower bound of PEN2 from the slopes at one
-    score point (``pen2_floor``).  Its scratch arrays (see ``_work``) and
-    that bound's candidate point make it unsafe to share between threads.
+    (``_penalty_sums``), and lower bounds of PEN1 and PEN2 at a batch of
+    bandwidths (``pen1_floors``, and ``pen2_floors`` from the slopes at one
+    score point).  Its scratch arrays (see ``_work``) and that score point
+    make it unsafe to share between threads.
 
     PEN1 and PEN2 form their kernel matrices, g_ij at the score points and
     -u_ij g_ij at the probes, only on a band where g can be nonzero: the
@@ -197,7 +197,8 @@ class _Smoothing:
         self.probes = np.stack([self.points - PEN2_OFFSET, self.points + PEN2_OFFSET])
         self._scratch = [np.empty(0) for _ in range(3)]
         self._exp_cut = EXP_NORMAL
-        self._candidate = None  # pen2_floor's score point (see pen2)
+        # pen2_floors' score point (see pen2), at first the one nearest mu + sigma.
+        self._candidate = int(np.argmin(np.abs(self.points - (self.mu + math.sqrt(self.sigma2)))))
         lo, hi = float(self.points[0]), float(self.points[-1])
         self._reach = max(self.mu - lo, hi - self.mu)  # max_j |x_j - mu|
         self._bandable = max(-lo, hi) < BAND_POINT_MAX
@@ -211,9 +212,10 @@ class _Smoothing:
         reused from call to call.  A bandwidth search on scenario 5 makes
         some 50 penalty calls (34 PEN1s and 16 PEN2s), on arrays of up to
         163 kB (2 x 101 x 101) in full and of 57 kB (2 x 101 x 35) on a
-        typical band; made
-        afresh, the full ones are faulted in page by page on every call
-        whenever the allocator returns them to the system."""
+        typical band; made afresh, the full ones are faulted in page by page
+        on every call whenever the allocator returns them to the system.
+        PEN2's certificates make their own (``_certified``): one 2 x 64 x 101
+        batch per search for the grid, some 20 of 2 x 1 x 101 after it."""
         size = math.prod(shape)
         if self._scratch[0].size < size:
             self._scratch = [np.empty(size) for _ in range(3)]
@@ -285,6 +287,13 @@ class _Smoothing:
         """a = sqrt(sigma2 / (sigma2 + h**2)) and a*h at bandwidth h."""
         a = float(np.sqrt(self.sigma2 / (self.sigma2 + h**2)))
         return a, a * h
+
+    def _shrinks(self, hs) -> tuple[np.ndarray, np.ndarray]:
+        """a and a*h for each h in ``hs``, with ``_shrink``'s bits: each
+        square is a scalar h**2."""
+        hs = np.asarray(hs, dtype=float)
+        a = np.sqrt(self.sigma2 / (self.sigma2 + np.array([h**2 for h in hs.tolist()])))
+        return a, a * hs
 
     def _offsets(self, x, cols, a, ah, u) -> None:
         """u = (x - a*x_j - (1-a)*mu) / (a*h) into ``u``, with the evaluation
@@ -419,10 +428,7 @@ class _Smoothing:
         FLOOR_REFINE times the smallest, where the bandwidths that can win
         lie.  The sum is scaled by 1 - FLOOR_SLACK.
         """
-        hs = np.asarray(hs, dtype=float)
-        # a and a*h as ``_shrink`` forms them, each square a scalar h**2.
-        a = np.sqrt(self.sigma2 / (self.sigma2 + np.array([h**2 for h in hs])))
-        shrink = np.stack([a, a * hs], axis=1)
+        shrink = np.stack(self._shrinks(hs), axis=1)
         subset = self._subset_floors(shrink, slice(0, None, FLOOR_STRIDE))
         refine = np.flatnonzero(subset <= FLOOR_REFINE * subset.min())
         subset[refine] += self._subset_floors(shrink[refine],
@@ -482,7 +488,7 @@ class _Smoothing:
         apart in the matrix buffer (see the class docstring).  A slope sum
         differs from the whole kernel's at most in the sign of an exact
         zero, which neither ``< 0`` nor ``> 0`` tells apart.  The first
-        point counted, if any, becomes ``pen2_floor``'s candidate."""
+        point counted, if any, becomes ``pen2_floors``' candidate."""
         left, right = self._penalty_sums(h, "slope")
         counted = (left < 0.0) & ~(right > 0.0)
         first = int(np.argmax(counted))
@@ -490,20 +496,29 @@ class _Smoothing:
             self._candidate = first
         return float(np.count_nonzero(counted))
 
-    def pen2_floor(self, h: float) -> float:
-        """A lower bound of ``pen2(h)``: 1.0 where one candidate score point
-        is certainly counted, else 0.0.  It costs about a quarter of a PEN2.
+    def pen2_floors(self, hs) -> np.ndarray:
+        """A lower bound of ``pen2(h)`` for each h in ``hs``: 1.0 where one
+        candidate score point is certainly counted (``_certified``), else
+        0.0.  The candidate is the first point counted by the latest
+        ``pen2`` that counted any, or else the point nearest mu + sigma, on
+        the falling side of a unimodal density.  The grid's 64 bounds cost
+        about one PEN2, a single bound a seventh of one."""
+        return self._certified(hs, self._candidate).astype(float)
 
-        The candidate is the first point counted by the latest ``pen2`` that
-        counted any, or else the point nearest mu + sigma, on the falling
-        side of a unimodal density.  ``_certifies`` sums its two slopes'
-        terms p_j u_j g_j over its band (``_half_width``; g is 0 beyond it),
-        with u and g formed by ``_band_product``'s operations at this
-        smoothing's exp cut, so each term has the bits of the matrix entry
-        that ``pen2`` multiplies, up to an ulp of exp.  Each sum, there and
-        in ``pen2``'s matrix product, in any order, is within
-        (J + 2) 2**-53 sum_j |p_j u_j g_j| of the exact one, counting the
-        products' rounding and exp's ulp; a later redo
+    def _certified(self, hs, i: int) -> np.ndarray:
+        """Whether both slopes at score point i's probes are certainly
+        negative in ``pen2(h)``, for each h in ``hs``.
+
+        u and g are formed for the two probes over all J columns at every h
+        at once, from ``_shrink``'s a and a*h (``_shrinks``' for several h)
+        with ``_band_product``'s operations (``_offsets``, ``_gauss``) at
+        this smoothing's exp cut, so each term p_j u_j g_j has the bits of
+        the matrix entry that ``pen2`` multiplies, up to an ulp of exp, and
+        is zero outside ``pen2``'s band (g is 0 there).  Each slope's terms
+        are summed row by row, so a point's certificate does not depend on
+        the batch.  Each sum, there and in ``pen2``'s matrix product, in any
+        order, is within (J + 2) 2**-53 sum_j |p_j u_j g_j| of the exact
+        one, counting the products' rounding and exp's ulp; a later redo
         (``_with_subnormals``) adds terms below 39 * 2**-1022 each.  So where
         both sums exceed 4 (J + 4) 2**-53 sum_j |p_j u_j g_j| +
         PEN2_FLOOR_MIN, ``pen2``'s sums of -p_j u_j g_j are both negative,
@@ -511,26 +526,17 @@ class _Smoothing:
         which leaves them far above the smallest float: ``pen2`` counts the
         point.
         """
-        if self._candidate is None:
-            above = self.mu + math.sqrt(self.sigma2)
-            self._candidate = int(np.argmin(np.abs(self.points - above)))
-        return 1.0 if self._certifies(h, self._candidate) else 0.0
-
-    def _certifies(self, h: float, i: int) -> bool:
-        """Whether both slopes at score point i's probes are certainly
-        negative in ``pen2(h)`` (see ``pen2_floor``)."""
-        a, ah = self._shrink(h)
-        cut, j = self._exp_cut, self.points.size
-        k = self._half_width(a, ah, cut)
-        lo, hi = (0, j) if k is None else (max(i - k, 0), min(i + k + 1, j))
-        u, arg, gauss = np.empty((3, 2, hi - lo))
-        self._offsets(self.probes[:, i, None], self.points[lo:hi], a, ah, u)
-        self._gauss(u, arg, gauss, cut)
+        # The refinement asks for one h at a time, and floats broadcast faster.
+        a, ah = self._shrink(hs[0]) if len(hs) == 1 else (v[:, None] for v in self._shrinks(hs))
+        j = self.points.size
+        u, arg, gauss = np.empty((3, 2, len(hs), j))
+        self._offsets(self.probes[:, i, None, None], self.points, a, ah, u)
+        self._gauss(u, arg, gauss, self._exp_cut)
         gauss *= u
-        sums = (gauss @ self.probs[lo:hi]).tolist()
-        sizes = (np.abs(gauss, out=gauss) @ self.probs[lo:hi]).tolist()
-        return all(s > 4 * (j + 4) * 2.0**-53 * size + PEN2_FLOOR_MIN
-                   for s, size in zip(sums, sizes))
+        gauss *= self.probs
+        sums = np.add.reduce(gauss, axis=-1)
+        sizes = np.add.reduce(np.abs(gauss, out=gauss), axis=-1)
+        return (sums > 4 * (j + 4) * 2.0**-53 * sizes + PEN2_FLOOR_MIN).all(axis=0)
 
     def penalty(self, h: float, kpen: float, pen1: float | None = None) -> float:
         """PEN1 + kpen * PEN2, with PEN1 taken from ``pen1`` when given."""
@@ -609,19 +615,17 @@ def select_bandwidth(dist: ScoreDistribution, kpen: float = 1.0) -> float:
     the grid and in the refinement (see ``_golden_section``).  PEN2 and
     kpen are nonnegative and rounding is monotone, so no penalty is below
     PEN1 + kpen m (PEN1 is never NaN) for a lower bound m of its PEN2
-    (``_Smoothing.pen2_floor``), and no PEN1 is below its floor
-    (``_Smoothing.pen1_floors``).  The grid points are visited best-first
-    from a heap keyed by (lower bound, index), each point's key rising
-    through up to three stages: a point
-    popped at its floor gets PEN2's floor m; if m >= 1 it goes back in at
-    floor + kpen m and gets its PEN1 only when that key pops, and if m is
-    0 (or kpen is) it gets its PEN1 at once; it goes back in at
-    PEN1 + kpen m and gets its PEN2 only when that key pops.  The search
-    stops once the popped key exceeds the best penalty so far or equals it
-    at a larger index; every point left has no smaller penalty.  The grid
-    point kept is the one ``np.argmin`` picks over all 64 penalties (the
-    first on ties), so the result equals that of the search that computes
-    every penalty in full.
+    (``_Smoothing.pen2_floors``), and no PEN1 is below its floor
+    (``_Smoothing.pen1_floors``).  Both bounds are taken for the whole grid
+    at once, and each grid point is keyed by floor + kpen m.  The points
+    are visited in one pass in ascending (key, index) order, which stops
+    at the first key that exceeds the best penalty so far or equals it at
+    a larger index: every point left has no smaller penalty.  A point
+    visited gets its PEN1, and its PEN2 only where PEN1 + kpen m does not
+    already lose to the best so far in the same order.  The grid point
+    kept is the one ``np.argmin`` picks over all 64 penalties (the first
+    on ties), so the result equals that of the search that computes every
+    penalty in full.
     """
     if dist.variance <= 0 or np.count_nonzero(dist.probs) < 2:
         raise ValidationError("bandwidth undefined for point mass")
@@ -630,52 +634,44 @@ def select_bandwidth(dist: ScoreDistribution, kpen: float = 1.0) -> float:
     smoothing = _Smoothing(dist)
     h_max = H_MAX_SD_FACTOR * float(np.sqrt(smoothing.sigma2))
     grid = np.geomspace(H_MIN, max(h_max, H_MIN * 1.01), num=64)
-    heap = [(float(floor), i) for i, floor in enumerate(smoothing.pen1_floors(grid))]
-    heapq.heapify(heap)
-    # Each point's stage (0 at its floor, 1 at floor + kpen m, 2 at
-    # PEN1 + kpen m), its PEN2 floor m and its PEN1 p1.
-    stage, m, p1 = [0] * len(grid), [0.0] * len(grid), [0.0] * len(grid)
+    m = smoothing.pen2_floors(grid) if kpen != 0.0 else np.zeros(len(grid))
+    keys = smoothing.pen1_floors(grid) + kpen * m
     best, value = len(grid), np.inf
-    while heap and heap[0] <= (value, best):
-        key, i = heapq.heappop(heap)
-        if stage[i] == 0 and kpen != 0.0:
-            stage[i] = 1
-            m[i] = smoothing.pen2_floor(grid[i])
-            if m[i]:
-                heapq.heappush(heap, (key + kpen * m[i], i))
-                continue
-        if stage[i] < 2:
-            stage[i] = 2
-            p1[i] = smoothing.pen1(grid[i])
-            heapq.heappush(heap, (p1[i] + kpen * m[i], i))
+    for key, i in sorted(zip(keys.tolist(), range(len(grid)))):
+        if (key, i) > (value, best):
+            break
+        pen1 = smoothing.pen1(grid[i])
+        if (pen1 + kpen * m[i], i) > (value, best):
             continue
-        total = smoothing.penalty(grid[i], kpen, p1[i])
+        total = smoothing.penalty(grid[i], kpen, pen1)
         if (total, i) < (value, best):
             best, value = i, total
 
-    def total(h: float, pen1: float, loses=lambda v: False) -> float:
-        """The penalty at h, whose PEN1 is ``pen1``, or a lower bound of it
-        for which ``loses`` holds.  PEN2's floor is sought only where a
-        floor of one could make the bound lose."""
+    def total(h: float, loses=lambda v: False) -> float:
+        """The penalty at h, or a lower bound of it for which ``loses``
+        holds.  PEN2's floor is sought only where a floor of one could make
+        the bound lose."""
+        pen1 = smoothing.pen1(h)
         if loses(pen1):
             return pen1
         if kpen != 0.0 and loses(pen1 + kpen):
-            bound = pen1 + kpen * smoothing.pen2_floor(h)
+            bound = pen1 + kpen * float(smoothing.pen2_floors([h])[0])
             if loses(bound):
                 return bound
         return smoothing.penalty(h, kpen, pen1)
 
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
-    return _golden_section(smoothing.pen1, total, lo, hi, best=(float(grid[best]), value))
+    return _golden_section(total, lo, hi, best=(float(grid[best]), value))
 
 
-def _golden_section(pen1, total, lo: float, hi: float, best: tuple[float, float],
+def _golden_section(total, lo: float, hi: float, best: tuple[float, float],
                     tol: float = 1e-7) -> float:
     """Golden-section refinement that returns the best *evaluated* point.
 
-    ``pen1(h)`` is PEN1 and ``total(h, pen1, loses)`` the full penalty, or
-    a lower bound of it for which ``loses`` holds.  The penalty has step
+    ``total(h, loses)`` is the full penalty at h, or a lower bound of it
+    for which ``loses`` holds: PEN1, or PEN1 + kpen times PEN2's
+    certificate at h (``_Smoothing.pen2_floors``).  The penalty has step
     discontinuities (PEN2 is integer-valued), so the plain golden-section
     midpoint may land just past a step; tracking the best evaluation keeps
     the result on the right side of it.
@@ -691,8 +687,8 @@ def _golden_section(pen1, total, lo: float, hi: float, best: tuple[float, float]
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc = total(c, pen1(c))
-    fd = total(d, pen1(d), lambda v: v > fc)
+    fc = total(c)
+    fd = total(d, lambda v: v > fc)
     for x, fx in ((c, fc), (d, fd)):
         if fx < best[1]:
             best = (x, fx)
@@ -700,13 +696,13 @@ def _golden_section(pen1, total, lo: float, hi: float, best: tuple[float, float]
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = total(c, pen1(c), lambda v: v >= fd)
+            fc = total(c, lambda v: v >= fd)
             if fc < best[1]:
                 best = (c, fc)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = total(d, pen1(d), lambda v: v > fc)
+            fd = total(d, lambda v: v > fc)
             if fd < best[1]:
                 best = (d, fd)
     return best[0]

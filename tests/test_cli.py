@@ -410,7 +410,7 @@ def test_import_and_equate_run_load_no_scipy(person_files, tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert proc.stdout.splitlines() == [
-        str(['__future__', '_csv', '_heapq', 'copy', 'csv', 'dataclasses', 'graphlib', 'heapq']),
+        str(['__future__', '_csv', 'copy', 'csv', 'dataclasses', 'graphlib']),
         str(['_json', 'argparse', 'gettext', 'json', 'json.decoder', 'json.encoder',
              'json.scanner']),
         "[]",
@@ -466,6 +466,30 @@ class TestCmdSimulate:
         assert code == 0
         per_method, _ = read_metrics_csv(out)
         assert per_method["GKE"]["score"][-1] == 80
+
+    def test_byte_order_mark_gives_the_same_metrics(self, tmp_path):
+        # A config saved with a leading UTF-8 byte-order mark reads as without.
+        text = json.dumps({"n": 800, "generator": {"score_range": [0, 60]}}).encode()
+        outs = []
+        for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+            cfg_path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            cfg_path.write_bytes(data)
+            assert main(["simulate", "--scenario-config", str(cfg_path), "--reps", "2",
+                         "--methods", "gke", "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_large_bias_passes_the_rmse_identity(self, tmp_path):
+        # An intercept of 1000 puts |bias| near 1000, where rounding alone
+        # leaves rmse^2 - bias^2 - see^2 near 1e-10.
+        cfg_path = tmp_path / "scenario.json"
+        cfg_path.write_text(json.dumps({"n": 2000, "y_transform": [1.0, 1000.0]}),
+                            encoding="utf-8")
+        out = tmp_path / "m.csv"
+        assert main(["simulate", "--scenario-config", str(cfg_path), "--reps", "2",
+                     "--methods", "gke", "--out", str(out)]) == 0
+        per_method, _ = read_metrics_csv(out)
+        assert np.min(np.abs(per_method["GKE"]["bias"])) > 900
 
     @pytest.mark.parametrize("flags", [["--score-range", "60"], ["--reps", "1"],
                                        ["--seed", "-1"]])
@@ -810,6 +834,20 @@ class TestCmdPlotData:
         assert main(["plot-data", str(table), str(metrics), str(table), str(metrics),
                      "--out", str(twice)]) == 0
         assert once.read_bytes() == twice.read_bytes()
+
+    def test_byte_order_mark_gives_the_same_plot(self, tmp_path):
+        # A table re-saved as "CSV UTF-8" starts with a byte-order mark.
+        table = tmp_path / "t.csv"
+        write_equating_table(EquatingTable(ScoreScale(0, 4), [0.5, 1.4, 2.5, 3.6, 4.4],
+                                           method="GKE"), table, "full")
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + table.read_bytes())
+        outs = []
+        for path in (table, bom):
+            out = tmp_path / f"plot_{path.stem}.csv"
+            assert main(["plot-data", str(path), "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_malformed_input_exits_2(self, tmp_path):
         bad = tmp_path / "bad.csv"

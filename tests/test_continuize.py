@@ -228,10 +228,10 @@ def tied_grid_penalties(floors2=0):
 
 
 def patched_penalties(dist, penalties):
-    """``_Smoothing.pen1``, ``pen1_floors``, ``pen2`` and ``pen2_floor``
+    """``_Smoothing.pen1``, ``pen1_floors``, ``pen2`` and ``pen2_floors``
     replaced by ``grid_penalties``' values on the bandwidth grid of
-    ``dist``.  Choice 0, 1 or 2 of ``floors2`` makes PEN2's floor 0,
-    min(1, PEN2) or PEN2."""
+    ``dist``.  Choice 0, 1 or 2 of ``floors2`` makes PEN2's floor at each
+    h 0, min(1, PEN2) or PEN2."""
     pen1, floors, pen2, between1, between2, floors2 = penalties
     grid = bandwidth_grid(dist)
 
@@ -260,14 +260,16 @@ def patched_penalties(dist, penalties):
     def patched_pen2(self, h):
         return pen2_and_choice(h)[0]
 
-    def patched_pen2_floor(self, h):
-        value, choice = pen2_and_choice(h)
-        return (0.0, min(1.0, value), value)[choice]
+    def patched_pen2_floors(self, hs):
+        def floor(h):
+            value, choice = pen2_and_choice(h)
+            return (0.0, min(1.0, value), value)[choice]
+        return np.array([floor(h) for h in hs])
 
     return (patch.object(_Smoothing, "pen1", patched_pen1),
             patch.object(_Smoothing, "pen1_floors", patched_pen1_floors),
             patch.object(_Smoothing, "pen2", patched_pen2),
-            patch.object(_Smoothing, "pen2_floor", patched_pen2_floor))
+            patch.object(_Smoothing, "pen2_floors", patched_pen2_floors))
 
 
 @st.composite
@@ -493,8 +495,8 @@ class TestBandwidthSelection:
     @example(tied_grid_penalties(floors2=2), 1.0)
     def test_equals_eager_search_on_any_grid_penalties(self, penalties, kpen):
         dist = binomial_dist(20, 0.5)
-        patch_pen1, patch_floors, patch_pen2, patch_pen2_floor = patched_penalties(dist, penalties)
-        with patch_pen1, patch_floors, patch_pen2, patch_pen2_floor:
+        patch_pen1, patch_floors, patch_pen2, patch_floors2 = patched_penalties(dist, penalties)
+        with patch_pen1, patch_floors, patch_pen2, patch_floors2:
             assert select_bandwidth(dist, kpen) == eager_search(dist, kpen)[0]
 
     def test_pen2_floors_spare_most_pen2s_on_scenario_5(self):
@@ -548,9 +550,10 @@ class TestPen2Floor:
     @PROPERTY
     @given(st.data())
     def test_certified_points_are_counted(self, data):
-        # Every point the certificate accepts is one pen2 counts, fresh and
-        # in the state a redo leaves, and also where pen2 then takes the
-        # redo itself: the certificates are taken before the slopes.
+        # Every point a batch certifies is one pen2 counts, fresh and in the
+        # state a redo leaves, and also where pen2 then takes the redo
+        # itself: the certificates are taken before the slopes.  A batch
+        # certifies exactly the points that one-bandwidth calls do.
         table = data.draw(st.one_of(dense_or_sparse(), multimodal(), offset_tables()))
         if isinstance(table, tuple):
             dist, hs, redo = table
@@ -561,13 +564,17 @@ class TestPen2Floor:
         smoothing = _Smoothing(dist)
         if redo:
             smoothing._exp_cut = EXP_ZERO  # as _with_subnormals leaves it
-        for h in hs:
-            certified = [smoothing._certifies(h, i) for i in range(dist.scale.n_points)]
-            floor = smoothing.pen2_floor(h)
+        certified = np.array([smoothing._certified(hs, i) for i in range(dist.scale.n_points)]).T
+        singles = [[smoothing._certified([h], i)[0] for i in range(dist.scale.n_points)]
+                   for h in hs]
+        assert np.array_equal(certified, singles)
+        floors = smoothing.pen2_floors(hs)
+        assert floors.shape == (len(hs),) and set(floors) <= {0.0, 1.0}
+        for h, row, floor in zip(hs, certified, floors):
             left, right = smoothing._penalty_sums(h, "slope")
             counted = (left < 0.0) & ~(right > 0.0)
-            assert not np.any(np.array(certified) & ~counted)
-            assert floor in (0.0, 1.0) and floor <= smoothing.pen2(h)
+            assert not np.any(row & ~counted)
+            assert floor <= smoothing.pen2(h)
 
     def test_declines_a_slope_within_rounding_of_zero(self):
         # Poisson(4) on 0..20: near h = 0.54 the slope at 3.75, score point
@@ -595,9 +602,9 @@ class TestPen2Floor:
             left, right = slopes(h)
             assert abs(left) < 1e-14 * abs(right) and right < 0.0
             counted += left < 0.0
-            assert not smoothing._certifies(h, 4)
+            assert not smoothing._certified([h], 4)[0]
         assert counted > 0
-        assert smoothing._certifies(0.6, 4) and smoothing._certifies(hi * (1 + 1e-9), 4)
+        assert np.all(smoothing._certified([0.6, hi * (1 + 1e-9)], 4))
 
 
 class TestExactZeros:

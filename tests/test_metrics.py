@@ -97,6 +97,19 @@ class TestReport:
         assert report.mean_ediff is not None
         assert 0.0 <= report.dtm_exceed_fraction <= 1.0
 
+    def test_rmse_identity_allows_rounding_at_large_bias(self):
+        # At |bias| ~ 1e3 to 1e4 rounding alone leaves gaps of 1e-10 to 1e-8;
+        # an rmse off by a relative 1e-12 is a real gap, and is still caught.
+        rng = np.random.default_rng(5)
+        b = rng.choice([-1.0, 1.0], 200) * rng.uniform(1e3, 1e4, 200)
+        s = rng.uniform(0.0, 2.0, 200)
+        vecs = {"bias": b, "see": s, "rmse": rmse(b, s)}
+        assert np.max(np.abs(vecs["rmse"] ** 2 - b**2 - s**2)) > 1e-10
+        MetricsReport(np.arange(200), np.zeros(200), {"A": vecs})
+        vecs["rmse"] = vecs["rmse"] * (1.0 + 1e-12)
+        with pytest.raises(ValidationError, match="rmse\\^2 != bias\\^2"):
+            MetricsReport(np.arange(200), np.zeros(200), {"A": vecs})
+
     def test_inconsistent_rmse_rejected(self):
         with pytest.raises(ValidationError):
             MetricsReport(

@@ -21,7 +21,7 @@ Each line is a sha256 over one set of results:
 - ``sparse``: ``select_bandwidth`` on 20 pass-through tables of 20-400
   draws on 20-100 score points, at kpen 0, 0.5 and 1.
 
-A few minutes on one CPU; the n = 50 000 scenarios take most of it.
+It takes a few seconds on one CPU.
 """
 
 import hashlib
