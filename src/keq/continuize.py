@@ -37,7 +37,7 @@ H_MIN = 0.05
 H_MAX_SD_FACTOR = 4.0
 PEN2_OFFSET = 0.25
 
-# PEN1 and PEN2 form the kernel on a band of each row only, of half-width
+# PEN1 and PEN2 sum the kernel over a band of each row only, of half-width
 # k from the exp cut with a relative BAND_SLACK to spare, while a*h exceeds
 # BAND_AH_MIN (so u stays finite) and the score points are below
 # BAND_POINT_MAX in magnitude (so u's rounding is far below a score point);
@@ -105,11 +105,13 @@ _band_cache_lock = threading.Lock()
 
 def _band_operands(points: np.ndarray, probes: np.ndarray, k: int | None) -> dict:
     """Per term, the operands of PEN1's ("pdf") or PEN2's ("slope") kernel
-    rows on the band of half-width k: each row's evaluation point (a score
-    point, or a probe) repeated over the band, and the score point of each
-    band column, or for a column beyond the scale the point 2J past that
-    end.  With k None they span every column.  Both are contiguous, so u
-    takes one pass where a broadcast would loop row by row.
+    rows on the band of half-width k, one band column c = 0 .. 2k per row
+    of a (2k + 1, J) array and one kernel row i per column of it: row i's
+    evaluation point (a score point, or a probe), and score point i + c - k,
+    or for a column beyond the scale the point at that end (it carries
+    probability zero; see ``_Smoothing._band``).  With k None, c runs over
+    every score point.  Both are contiguous, so u takes one pass where a
+    broadcast would loop.
 
     Shared by every smoothing on the same score scale, read-only, and
     dropped least recently used first once they pass BAND_CACHE_BYTES in
@@ -123,12 +125,11 @@ def _band_operands(points: np.ndarray, probes: np.ndarray, k: int | None) -> dic
             return operands
     j = points.size
     if k is None:
-        width, cols = j, np.tile(points, (j, 1))
+        width, cols = j, np.repeat(points[:, None], j, axis=1)
     else:
-        width, far = 2 * k + 1, np.full(k, 2.0 * j)
-        padded = np.concatenate([points[0] - far, points, points[-1] + far])
-        cols = np.lib.stride_tricks.sliding_window_view(padded, width).copy()
-    operands = {term: (np.repeat(x[..., None], width, axis=-1), cols)
+        width = 2 * k + 1
+        cols = np.lib.stride_tricks.sliding_window_view(np.pad(points, k, "edge"), j).copy()
+    operands = {term: (np.repeat(x[..., None, :], width, axis=-2), cols)
                 for term, x in (("pdf", points), ("slope", probes))}
     for rows, _ in operands.values():
         rows.flags.writeable = False
@@ -150,43 +151,34 @@ class _Smoothing:
 
     Holds what does not depend on h: the score points, their
     probabilities, the mean and variance, and PEN2's probe points.  A
-    bandwidth search forms it once and evaluates every h against it.  It
-    gives the CDF and density at any x as row sums (``terms``), PEN1's
-    density and PEN2's slope as matrix products over a band
+    bandwidth search forms it once and evaluates every h against it.
+    Every kernel sum it takes is a row sum, one per evaluation point: the
+    CDF and density at any x (``terms``), PEN1's density and PEN2's slope
     (``_penalty_sums``), and lower bounds of PEN1 and PEN2 at a batch of
     bandwidths (``pen1_floors``, and ``pen2_floors`` from the slopes at one
     score point).  Its scratch arrays (see ``_work``) and that score point
     make it unsafe to share between threads.
 
-    PEN1 and PEN2 form their kernel matrices, g_ij at the score points and
-    -u_ij g_ij at the probes, only on a band where g can be nonzero: the
-    columns j within k of row i (``_band_product``).  With row i's point
-    x_i (a probe is a quarter point off) and unit-spaced score points,
+    PEN1 and PEN2 sum p_j g_ij at the score points and -p_j u_ij g_ij at
+    the probes only over a band where g can be nonzero: the columns j
+    within k of row i (``_band_product``).  With row i's point x_i (a
+    probe is a quarter point off) and unit-spaced score points,
     |x_i - a x_j - (1-a) mu| >= |i - j| - 1/4 - (1-a) max_j |x_j - mu|.
     So with R = sqrt(-2 cut) for this smoothing's exp cut, every column
     with |i - j| > k = ceil(R (1 + BAND_SLACK) a h + 1/4
     + (1-a) max_j |x_j - mu|) has |u| >= R (1 + BAND_SLACK) + 1/(a h),
     far beyond the rounding of u and of -u**2 / 2: the masked exp gives 0
-    there (a test checks it against ``unmasked_kernel``).  The band is
-    written into a zero-filled full-size matrix, and PEN1 and PEN2 take
-    the same (J, J) and (2, J, J) matrix products as over the whole
-    kernel, on matrices with the same bits.  The one exception is the sign
-    of a zero: a slope entry outside the band is +0 where -u * 0 can give
-    -0.  That can flip only the sign of a slope sum that is exactly zero,
-    which PEN2's ``< 0`` and ``> 0`` tests and the redo's ``abs`` treat
-    alike.
-
-    Row i's band is a run of 2k + 1 entries from column i - k of the
-    row-major matrix, so its columns beyond the scale spill into the
-    neighbouring row, or into the J // 2 + 1 spare entries (more than k)
-    before, between and after the two probe blocks.  They never reach
-    another row's band, since 2k + 1 < J, and they hold zeros: those
-    columns read a score point 2J past the scale's end, where g is 0
-    too.  The band is taken while 4k + 2 < J, where it is under half the
-    row and a > 1/2, which puts that point beyond the cut; and while a h
-    exceeds BAND_AH_MIN and the score points are below BAND_POINT_MAX in
+    there (a test checks it against ``unmasked_kernel``).  The band's
+    columns beyond the scale's ends carry probability zero.  Each row is
+    summed one column at a time, in column order, so the zero terms
+    before and after its nonzero ones add nothing: at any k a band row
+    has the bits of the whole kernel's row, but for the sign of a sum
+    that is exactly zero, and the k a redo widens moves no bit (a test
+    checks both).  The band is taken while
+    4k + 2 < J, where it is under half the row, and while a h exceeds
+    BAND_AH_MIN and the score points are below BAND_POINT_MAX in
     magnitude, so that u is finite and its rounding small.  Otherwise
-    the matrices are formed in full.
+    the rows span every column.
     """
 
     def __init__(self, dist: ScoreDistribution):
@@ -202,20 +194,16 @@ class _Smoothing:
         lo, hi = float(self.points[0]), float(self.points[-1])
         self._reach = max(self.mu - lo, hi - self.mu)  # max_j |x_j - mu|
         self._bandable = max(-lo, hi) < BAND_POINT_MAX
-        # Made by the first penalty (see _band and _matrices): a smoothing
-        # that only evaluates ``terms`` allocates none of it.
+        # Made by the first penalty (see _band): a smoothing that only
+        # evaluates ``terms`` allocates none of it.
         self._bands: dict = {}
-        self._full = self._buffer = self._written = None
 
     def _work(self, shape: tuple) -> list:
         """Arrays of ``shape`` for u, exp's argument and the Gaussian factor,
-        reused from call to call.  A bandwidth search on scenario 5 makes
-        some 50 penalty calls (34 PEN1s and 16 PEN2s), on arrays of up to
-        163 kB (2 x 101 x 101) in full and of 57 kB (2 x 101 x 35) on a
-        typical band; made afresh, the full ones are faulted in page by page
-        on every call whenever the allocator returns them to the system.
-        PEN2's certificates make their own (``_certified``): one 2 x 64 x 101
-        batch per search for the grid, some 20 of 2 x 1 x 101 after it."""
+        reused from call to call: a bandwidth search makes some 50 penalty
+        calls, and arrays made afresh are faulted in page by page whenever
+        the allocator returns them to the system.  PEN2's certificates make
+        their own (``_certified``)."""
         size = math.prod(shape)
         if self._scratch[0].size < size:
             self._scratch = [np.empty(size) for _ in range(3)]
@@ -283,17 +271,11 @@ class _Smoothing:
             out.append(float(value) if scalar else value)
         return out
 
-    def _shrink(self, h: float) -> tuple[float, float]:
-        """a = sqrt(sigma2 / (sigma2 + h**2)) and a*h at bandwidth h."""
-        a = float(np.sqrt(self.sigma2 / (self.sigma2 + h**2)))
+    def _shrink(self, h):
+        """a = sqrt(sigma2 / (sigma2 + h*h)) and a*h at bandwidth h, a float
+        or an array of bandwidths."""
+        a = np.sqrt(self.sigma2 / (self.sigma2 + h * h))
         return a, a * h
-
-    def _shrinks(self, hs) -> tuple[np.ndarray, np.ndarray]:
-        """a and a*h for each h in ``hs``, with ``_shrink``'s bits: each
-        square is a scalar h**2."""
-        hs = np.asarray(hs, dtype=float)
-        a = np.sqrt(self.sigma2 / (self.sigma2 + np.array([h**2 for h in hs.tolist()])))
-        return a, a * hs
 
     def _offsets(self, x, cols, a, ah, u) -> None:
         """u = (x - a*x_j - (1-a)*mu) / (a*h) into ``u``, with the evaluation
@@ -342,27 +324,18 @@ class _Smoothing:
     def _band_product(self, term: str, a: float, ah: float, cut: float) -> np.ndarray:
         """sum_j p_j g_ij (term "pdf", rows at the score points) or
         -sum_j p_j u_ij g_ij ("slope", rows at the probes) for every row i,
-        with exp taken above ``cut``, the kernel formed on the band of
-        ``_half_width`` and the product taken over the full matrix (see the
-        class docstring)."""
+        with exp taken above ``cut``, each row summed over its 2k + 1 band
+        columns at the half-width k of ``_half_width``, or over every column
+        where k is None, one column at a time (see the class docstring)."""
         k = self._half_width(a, ah, cut)
-        rows, cols, band = self._band(k)[term]
+        rows, cols, probs = self._band(k)[term]
         u, arg, gauss = self._work(rows.shape)
         self._offsets(rows, cols, a, ah, u)
         self._gauss(u, arg, gauss, cut)
         if term == "slope":
             np.negative(u, out=arg)
-            arg *= gauss
-            gauss = arg
-        if band is None:
-            return gauss @ self.probs
-        if self._written != k:
-            # Only the band last written can hold anything but zeros.
-            if self._written is not None:
-                self._band(self._written)["slope"][2][...] = 0.0
-            self._written = k
-        band[...] = gauss
-        return self._matrices()[term] @ self.probs
+            gauss *= arg
+        return np.einsum("...ci,...ci->...i", gauss, probs)
 
     def _half_width(self, a: float, ah: float, cut: float) -> int | None:
         """The band's half-width k at shrink a, a*h and exp cut ``cut``, or
@@ -375,48 +348,22 @@ class _Smoothing:
 
     def _band(self, k: int | None) -> dict:
         """Per term, the band's operands at half-width k (``_band_operands``)
-        and the view that writes the band into ``_matrices``, or None when
-        k is None.  Kept per k for the life of the smoothing."""
+        and the score probability of each of their entries, zero beyond the
+        scale.  Kept per k for the life of the smoothing."""
         band = self._bands.get(k)
         if band is None:
             j = self.points.size
+            probs = (np.broadcast_to(self.probs[:, None], (j, j)) if k is None else
+                     np.lib.stride_tricks.sliding_window_view(np.pad(self.probs, k), j))
             band = self._bands[k] = {
-                term: (rows, cols, None if k is None else self._in_buffer(rows.shape, -k, j + 1))
+                term: (rows, cols, probs)
                 for term, (rows, cols) in _band_operands(self.points, self.probes, k).items()}
         return band
 
-    def _matrices(self) -> dict:
-        """Per term, the full-size matrix the band is written into: (J, J)
-        for "pdf" and (2, J, J) for "slope", in one zero-filled buffer with
-        J // 2 + 1 spare entries before, between and after the blocks.
-        Outside the band last written (``_written``) the buffer holds
-        zeros."""
-        if self._full is None:
-            j = self.points.size
-            pad = j // 2 + 1
-            self._buffer = np.zeros(pad + 2 * (j * j + pad)), pad
-            self._full = {"pdf": self._in_buffer((j, j), 0, j),
-                          "slope": self._in_buffer((2, j, j), 0, j)}
-        return self._full
-
-    def _in_buffer(self, shape: tuple, shift: int, row_step: int) -> np.ndarray:
-        """A view of the matrix buffer in ``shape`` (rows x columns, in one
-        or two blocks) whose entry (b, i, c) sits at offset
-        pad + shift + b (J**2 + pad) + i row_step + c."""
-        if self._buffer is None:
-            self._matrices()
-        buf, pad = self._buffer
-        j, step = self.points.size, buf.itemsize
-        strides = ((j * j + pad) * step,) * (len(shape) - 2) + (row_step * step, step)
-        return np.ndarray(shape, float, buf, (pad + shift) * step, strides)
-
     def pen1(self, h: float) -> float:
-        """Squared gap between the score probabilities and the density.
-
-        The density at the score points is the (J, J) matrix product of the
-        banded kernel (see the class docstring): the band of g, written
-        into a zero-filled matrix, has the bits of g over every column, so
-        PEN1 has the bits of the whole kernel's."""
+        """Squared gap between the score probabilities and the density at
+        the score points, each density a row sum over its band (see the
+        class docstring)."""
         return float(np.sum((self.probs - self._penalty_sums(h, "pdf")) ** 2))
 
     def pen1_floors(self, hs: np.ndarray) -> np.ndarray:
@@ -428,7 +375,7 @@ class _Smoothing:
         FLOOR_REFINE times the smallest, where the bandwidths that can win
         lie.  The sum is scaled by 1 - FLOOR_SLACK.
         """
-        shrink = np.stack(self._shrinks(hs), axis=1)
+        shrink = np.stack(self._shrink(np.asarray(hs, dtype=float)), axis=1)
         subset = self._subset_floors(shrink, slice(0, None, FLOOR_STRIDE))
         refine = np.flatnonzero(subset <= FLOOR_REFINE * subset.min())
         subset[refine] += self._subset_floors(shrink[refine],
@@ -442,11 +389,11 @@ class _Smoothing:
         ``shrink`` holds ``_shrink(h)``, so u and the masked Gaussian factor
         have the bits that PEN1's banded kernel gives them
         (``_band_product``; the factor is zero outside the band either
-        way), and f~_i differs from the density f_i that ``pen1`` uses only
-        in the rounding of its sum and scaling (a matrix product rounds a
-        row by its position), and in the subnormals that the redo may fill
-        in (``_with_subnormals``).  Any order of a J-term sum
-        of nonnegative products is within J eps of the exact one (eps =
+        way), and f~_i, summed here over every column, differs from the
+        density f_i that ``pen1`` sums over the band only in the order of
+        its sum and the rounding of its scaling, and in the subnormals that
+        the redo may fill in (``_with_subnormals``).  Any order of a J-term
+        sum of nonnegative products is within J eps of the exact one (eps =
         2**-53), plus J 2**-1075 from products that underflow; the
         subnormals add at most DBL_MIN = 2**-1022 (the p_j sum to one); the
         two scalings round by eps each.  So |f_i - f~_i| <= 2 (J + 3) eps
@@ -472,7 +419,7 @@ class _Smoothing:
             u, arg, gauss = self._work((len(block), x.size, j))
             self._offsets(x[..., None], self.points, a, ah, u)
             self._gauss(u, arg, gauss)
-            np.matmul(gauss.reshape(-1, j), self.probs, out=f[start:start + step].reshape(-1))
+            np.einsum("...j,j->...", gauss, self.probs, out=f[start:start + step])
         peak = INV_SQRT_2PI / shrink[:, 1:]
         f *= peak
         d = np.abs(self.probs[points] - f)
@@ -483,12 +430,9 @@ class _Smoothing:
         """Score points where the density slopes down a quarter point to the
         left without turning up a quarter point to the right.
 
-        The slopes at the probes are the stacked (2, J, J) product of the
-        banded kernel's -u g, with the two probe blocks more than k entries
-        apart in the matrix buffer (see the class docstring).  A slope sum
-        differs from the whole kernel's at most in the sign of an exact
-        zero, which neither ``< 0`` nor ``> 0`` tells apart.  The first
-        point counted, if any, becomes ``pen2_floors``' candidate."""
+        The slope at each probe is a row sum of -p_j u_j g_j over its band
+        (see the class docstring).  The first point counted, if any, becomes
+        ``pen2_floors``' candidate."""
         left, right = self._penalty_sums(h, "slope")
         counted = (left < 0.0) & ~(right > 0.0)
         first = int(np.argmax(counted))
@@ -510,15 +454,15 @@ class _Smoothing:
         negative in ``pen2(h)``, for each h in ``hs``.
 
         u and g are formed for the two probes over all J columns at every h
-        at once, from ``_shrink``'s a and a*h (``_shrinks``' for several h)
-        with ``_band_product``'s operations (``_offsets``, ``_gauss``) at
-        this smoothing's exp cut, so each term p_j u_j g_j has the bits of
-        the matrix entry that ``pen2`` multiplies, up to an ulp of exp, and
-        is zero outside ``pen2``'s band (g is 0 there).  Each slope's terms
-        are summed row by row, so a point's certificate does not depend on
-        the batch.  Each sum, there and in ``pen2``'s matrix product, in any
-        order, is within (J + 2) 2**-53 sum_j |p_j u_j g_j| of the exact
-        one, counting the products' rounding and exp's ulp; a later redo
+        at once, from ``_shrink``'s a and a*h with ``_band_product``'s
+        operations (``_offsets``, ``_gauss``) at this smoothing's exp cut,
+        so each term p_j u_j g_j has the bits, up to sign and an ulp of exp,
+        of the term that ``pen2`` sums, and is zero outside ``pen2``'s band
+        (g is 0 there).  Each slope's terms are summed row by row, so a
+        point's certificate does not depend on the batch.  Each sum, there
+        and over ``pen2``'s band, in any order, is within
+        (J + 2) 2**-53 sum_j |p_j u_j g_j| of the exact one, counting the
+        products' rounding and exp's ulp; a later redo
         (``_with_subnormals``) adds terms below 39 * 2**-1022 each.  So where
         both sums exceed 4 (J + 4) 2**-53 sum_j |p_j u_j g_j| +
         PEN2_FLOOR_MIN, ``pen2``'s sums of -p_j u_j g_j are both negative,
@@ -526,8 +470,8 @@ class _Smoothing:
         which leaves them far above the smallest float: ``pen2`` counts the
         point.
         """
-        # The refinement asks for one h at a time, and floats broadcast faster.
-        a, ah = self._shrink(hs[0]) if len(hs) == 1 else (v[:, None] for v in self._shrinks(hs))
+        # The refinement asks for one h at a time, and scalars broadcast faster.
+        a, ah = self._shrink(hs[0] if len(hs) == 1 else np.asarray(hs, dtype=float)[:, None])
         j = self.points.size
         u, arg, gauss = np.empty((3, 2, len(hs), j))
         self._offsets(self.probes[:, i, None, None], self.points, a, ah, u)

@@ -102,7 +102,7 @@ def unmasked_phi(u):
 
 def unmasked_kernel(dist, h, x):
     """u and the Gaussian factor exp(-u**2 / 2) over every kernel entry, and a*h."""
-    a = float(np.sqrt(dist.variance / (dist.variance + h**2)))
+    a = float(np.sqrt(dist.variance / (dist.variance + h * h)))
     ah = a * h
     u = (x[..., None] - a * dist.scale.points.astype(float) - (1.0 - a) * dist.mean) / ah
     return u, np.exp(-0.5 * u**2), ah
@@ -135,14 +135,52 @@ def sparse_tables():
         yield ScoreDistribution(ScoreScale(0, int(j) - 1), counts / counts.sum())
 
 
-def unmasked_penalty(dist, h, kpen):
-    """PEN1 + kpen * PEN2 from ``unmasked_terms``."""
-    points = dist.scale.points.astype(float)
-    pdf = unmasked_terms(dist, h, points, cdf=False)[0]
-    left, right = unmasked_terms(dist, h, np.stack([points - 0.25, points + 0.25]),
-                                 cdf=False)[1]
-    pen1 = float(np.sum((dist.probs - pdf) ** 2))
-    return pen1 + kpen * float(np.sum((left < 0.0) & ~(right > 0.0))) if kpen else pen1
+EPS = np.finfo(float).eps / 2  # 2**-53
+TINY = np.finfo(float).tiny  # DBL_MIN = 2**-1022
+
+
+def summation_bound(terms, scale, tiny):
+    """How far apart two float sums of ``terms`` over the last axis, each
+    in any order and then scaled by ``scale``, may lie: the J-term bound
+    that ``_Smoothing._subset_floors`` states, 2 (J + 3) eps sum_j |t_j|
+    (each sum's J - 1 additions, its products and its scalings), plus J
+    ``tiny`` for the terms below ``tiny`` each that one of the sums may
+    leave out (the subnormals a redo fills in)."""
+    j = terms.shape[-1]
+    return scale * (2 * (j + 3) * EPS * np.abs(terms).sum(axis=-1) + j * tiny)
+
+
+def penalty_terms_within_bound(dist, h, smoothing=None):
+    """PEN1 and PEN2 of ``smoothing`` (a fresh one by default) at h, checked
+    against the full-kernel matrix products of ``unmasked_terms``.
+
+    PEN1's densities and PEN2's slopes agree with them within
+    ``summation_bound``.  PEN1 agrees within what that bound gives it: with
+    d_i the oracle's gap p_i - f_i and delta_i its density's bound, the
+    squares move by at most 2 |d_i| delta_i + delta_i**2, and each sum of
+    squares rounds within 2 (J + 3) eps of its exact value.  PEN2 counts a
+    point as the oracle does wherever both oracle slopes clear their bound,
+    and so are of the same sign in both."""
+    smoothing = _Smoothing(dist) if smoothing is None else smoothing
+    _, gauss, ah = unmasked_kernel(dist, h, smoothing.points)
+    pdf = unmasked_terms(dist, h, smoothing.points, cdf=False)[0]
+    delta = summation_bound(gauss * dist.probs, INV_SQRT_2PI / ah, TINY)
+    assert np.all(np.abs(smoothing._penalty_sums(h, "pdf") - pdf) <= delta)
+    u, gauss, ah = unmasked_kernel(dist, h, smoothing.probes)
+    oracle = unmasked_terms(dist, h, smoothing.probes, cdf=False)[1]
+    bound = summation_bound(-u * gauss * dist.probs, INV_SQRT_2PI / ah**2, 39 * TINY)
+    slopes = smoothing._penalty_sums(h, "slope")
+    assert np.all(np.abs(slopes - oracle) <= bound)
+    gap = np.abs(dist.probs - pdf)
+    pen1 = smoothing.pen1(h)
+    assert abs(pen1 - np.sum(gap**2)) <= (np.sum((2 * gap + delta) * delta)
+                                          + 2 * (gap.size + 3) * EPS * np.sum((gap + delta)**2))
+    counted, expected = ((left < 0.0) & ~(right > 0.0) for left, right in (slopes, oracle))
+    clear = np.all(np.abs(oracle) > bound, axis=0)
+    assert np.array_equal(counted[clear], expected[clear])
+    pen2 = smoothing.pen2(h)
+    assert pen2 == np.count_nonzero(counted)
+    return pen1, pen2
 
 
 def cached_operand_bytes():
@@ -332,7 +370,7 @@ def offset_tables(draw):
 
 def half_width_oracle(dist, h, cut):
     """The band's half-width for bandwidth h and exp cut ``cut``."""
-    a = math.sqrt(dist.variance / (dist.variance + h**2))
+    a = math.sqrt(dist.variance / (dist.variance + h * h))
     reach = float(np.max(np.abs(dist.scale.points - dist.mean)))
     return math.ceil(math.sqrt(-2.0 * cut) * (1.0 + 1e-9) * a * h + 0.25 + (1.0 - a) * reach)
 
@@ -621,20 +659,16 @@ class TestExactZeros:
         rng = np.random.default_rng(4)
         counts = np.bincount(rng.binomial(60, 0.45, 40), minlength=61)
         dist = ScoreDistribution(ScoreScale(0, 60), counts / counts.sum())
-        c, smoothing = ContinuizedCdf(dist, h), _Smoothing(dist)
-        points = dist.scale.points.astype(float)
-        pdf = unmasked_terms(dist, h, points, cdf=False)[0]
-        slope = unmasked_terms(dist, h, smoothing.probes, cdf=False)[1]
-        assert np.array_equal(smoothing._penalty_sums(h, "pdf"), pdf)  # PEN1's density
-        assert np.array_equal(smoothing._penalty_sums(h, "slope"), slope)  # PEN2's
-        x = np.concatenate([points, np.linspace(-30.0, 90.0, 241)])
+        c = ContinuizedCdf(dist, h)
+        pen1, pen2 = penalty_terms_within_bound(dist, h)
+        x = np.concatenate([dist.scale.points, np.linspace(-30.0, 90.0, 241)])
         cdf = unmasked_terms(dist, h, x)[2]
         assert np.array_equal(kernel_pdf(c, x), unmasked_row_pdf(dist, h, x))
         assert np.array_equal(kernel_cdf(c, x), cdf)
         assert kernel_cdf(c, 17.0) == unmasked_terms(dist, h, np.array(17.0))[2]
         assert kernel_pdf(c, 17.0) == unmasked_row_pdf(dist, h, np.array(17.0))
         for kpen in (0.0, 0.5, 1.0):
-            assert penalty(dist, h, kpen) == unmasked_penalty(dist, h, kpen)
+            assert penalty(dist, h, kpen) == (pen1 + kpen * pen2 if kpen else pen1)
 
     def test_exp_is_normal_exactly_above_exp_normal(self):
         tiny = np.finfo(float).tiny  # DBL_MIN
@@ -659,15 +693,11 @@ class TestExactZeros:
         reach = data.draw(st.floats(0.0, 20.0)) * (n + h)
         x = np.concatenate([dist.scale.points.astype(float),
                             np.linspace(-reach, n + reach, data.draw(st.integers(1, 60)))])
-        smoothing = _Smoothing(dist)
-        assert np.array_equal(smoothing._penalty_sums(h, "pdf"),
-                              unmasked_terms(dist, h, smoothing.points, cdf=False)[0])
-        assert np.array_equal(smoothing._penalty_sums(h, "slope"),
-                              unmasked_terms(dist, h, smoothing.probes, cdf=False)[1])
+        pen1, pen2 = penalty_terms_within_bound(dist, h)
         assert np.array_equal(kernel_pdf(ContinuizedCdf(dist, h), x),
                               unmasked_row_pdf(dist, h, x))
         for kpen in (0.0, 1.0):
-            assert penalty(dist, h, kpen) == unmasked_penalty(dist, h, kpen)
+            assert penalty(dist, h, kpen) == (pen1 + kpen * pen2 if kpen else pen1)
 
     def test_sparse_table_takes_the_redo_and_keeps_the_search(self):
         # A pass-through table of 52 draws on 0..84: far from the mass the
@@ -675,14 +705,14 @@ class TestExactZeros:
         # call with the subnormals.
         counts = np.bincount(np.random.default_rng(3).binomial(84, 0.34, 52), minlength=85)
         dist = ScoreDistribution(ScoreScale(0, 84), counts / counts.sum())
-        grid = bandwidth_grid(dist)
+        terms = [penalty_terms_within_bound(dist, g) for g in bandwidth_grid(dist)]
         for kpen in (0.0, 0.5, 1.0):
             with subnormal_redos() as spy:
                 h = select_bandwidth(dist, kpen)
             assert spy.call_count > 0
             expected, values = eager_search(dist, kpen)
             assert h == expected
-            assert values == [unmasked_penalty(dist, g, kpen) for g in grid]
+            assert values == [pen1 + kpen * pen2 if kpen else pen1 for pen1, pen2 in terms]
 
     def test_each_smoothing_redoes_at_most_once(self):
         # After a redo a smoothing computes the subnormals on every call.
@@ -736,36 +766,42 @@ class TestBandedKernel:
     @example((binomial_dist(60, 0.4), [0.3, 0.45], True))
     def test_penalties_equal_unmasked_formula(self, table):
         dist, hs, redo = table
-        points = dist.scale.points.astype(float)
         smoothing = _Smoothing(dist)
         if redo:
             smoothing._exp_cut = EXP_ZERO  # as _with_subnormals leaves it
         # One smoothing across both bandwidths and back: a band of one
-        # half-width must leave no trace in the next.
+        # half-width must leave no trace in the next, and every penalty has
+        # the bits of a fresh smoothing's.
         for h in (*hs, hs[0]):
+            pen1, pen2 = penalty_terms_within_bound(dist, h, smoothing)
             for kpen in (0.0, 1.0):
-                expected = unmasked_penalty(dist, h, kpen)
+                expected = pen1 + kpen * pen2 if kpen else pen1
                 assert penalty(dist, h, kpen) == expected
                 assert smoothing.penalty(h, kpen) == expected
-            # PEN1's density against the unmasked gauss @ probs.
-            pdf = unmasked_terms(dist, h, points, cdf=False)[0]
-            assert smoothing._penalty_sums(h, "pdf").tobytes() == pdf.tobytes()
+        # Summed column by column, a band row has the bits of the whole
+        # kernel's row, fresh or after a redo has widened the band.
+        with patch.object(_Smoothing, "_half_width", return_value=None):
+            whole = _Smoothing(dist)
+            for h in hs:
+                for term in ("pdf", "slope"):
+                    assert np.array_equal(whole._penalty_sums(h, term),
+                                          smoothing._penalty_sums(h, term))
 
     @PROPERTY
     @given(st.data())
     def test_row_sum_density_agrees_with_pen1s(self, data):
-        # At the score points kernel_pdf (a row sum) and PEN1's banded density
-        # (a matrix product) differ only by rounding and dropped subnormals,
-        # within the bound that _Smoothing._subset_floors states.
+        # At the score points kernel_pdf (a row sum over every point) and
+        # PEN1's banded density (a row sum over the band) differ only by
+        # rounding and dropped subnormals, within the bound that
+        # _Smoothing._subset_floors states.
         dist = data.draw(dense_or_sparse())
         grid = bandwidth_grid(dist)
         h = data.draw(st.floats(float(grid[0]), float(grid[-1])))
         c = ContinuizedCdf(dist, h)
-        j, eps = dist.scale.n_points, np.finfo(float).eps / 2
         row = kernel_pdf(c, c._smoothing.points)
         band = c._smoothing._penalty_sums(h, "pdf")
-        ah = c._smoothing._shrink(h)[1]
-        bound = 2 * (j + 3) * eps * np.maximum(row, band) + j * INV_SQRT_2PI / ah * 2.0**-1022
+        _, gauss, ah = unmasked_kernel(dist, h, c._smoothing.points)
+        bound = summation_bound(gauss * dist.probs, INV_SQRT_2PI / ah, TINY)
         assert np.all(np.abs(row - band) <= bound)
 
     @PROPERTY
@@ -827,17 +863,20 @@ class TestBandedKernel:
         dist = binomial_dist(300, 0.5)
         smoothing = _Smoothing(dist)
         for h in [*np.linspace(0.1, 2.0, 8), 20.0]:
-            assert smoothing.pen1(h) == unmasked_penalty(dist, h, 0.0)
+            penalty_terms_within_bound(dist, h, smoothing)
             assert cached_operand_bytes() <= BAND_CACHE_BYTES
         assert None in smoothing._bands
         assert len(smoothing._bands) > len(keq.continuize._band_cache)
         assert all(k is not None for _, _, k in keq.continuize._band_cache)
 
     def test_inversion_allocates_no_penalty_scratch(self):
+        # The inversion sums its own terms: it forms no band operands.
         c = ContinuizedCdf(binomial_dist(40, 0.3), 0.5)
         cached = list(keq.continuize._band_cache)
-        inverse_cdf(c, np.linspace(0.01, 0.99, 25))
-        assert c._smoothing._bands == {} and c._smoothing._buffer is None
+        with patch.object(keq.continuize, "_band_operands",
+                          side_effect=keq.continuize._band_operands) as operands:
+            inverse_cdf(c, np.linspace(0.01, 0.99, 25))
+        assert c._smoothing._bands == {} and operands.call_count == 0
         assert list(keq.continuize._band_cache) == cached
 
 
