@@ -66,12 +66,9 @@ PEN2_FLOOR_MIN = 2.0**-790
 
 # The bandwidth grid's PEN1 floors give up this fraction of themselves to
 # cover the rounding of PEN1's own sums (see _Smoothing.pen1_floors).  They
-# sum PEN1's terms over every FLOOR_STRIDE-th score point at every grid
-# bandwidth, and add the points half a stride on at the bandwidths whose
-# floor is within FLOOR_REFINE times the smallest.
+# sum PEN1's terms over every FLOOR_STRIDE-th score point.
 FLOOR_SLACK = 1e-6
 FLOOR_STRIDE = 8
-FLOOR_REFINE = 32.0
 
 # _phi calls math.erfc only where PHI_ZERO < u < PHI_ONE: beyond them the
 # normal CDF is exactly 0.0 or 1.0 (see _Smoothing.terms).
@@ -156,8 +153,8 @@ class _Smoothing:
     CDF and density at any x (``terms``), PEN1's density and PEN2's slope
     (``_penalty_sums``), and lower bounds of PEN1 and PEN2 at a batch of
     bandwidths (``pen1_floors``, and ``pen2_floors`` from the slopes at one
-    score point).  Its scratch arrays (see ``_work``) and that score point
-    make it unsafe to share between threads.
+    score point).  Its scratch arrays (see ``_work``) make it unsafe to
+    share between threads.
 
     PEN1 and PEN2 sum p_j g_ij at the score points and -p_j u_ij g_ij at
     the probes only over a band where g can be nonzero: the columns j
@@ -189,8 +186,6 @@ class _Smoothing:
         self.probes = np.stack([self.points - PEN2_OFFSET, self.points + PEN2_OFFSET])
         self._scratch = [np.empty(0) for _ in range(3)]
         self._exp_cut = EXP_NORMAL
-        # pen2_floors' score point (see pen2), at first the one nearest mu + sigma.
-        self._candidate = int(np.argmin(np.abs(self.points - (self.mu + math.sqrt(self.sigma2)))))
         lo, hi = float(self.points[0]), float(self.points[-1])
         self._reach = max(self.mu - lo, hi - self.mu)  # max_j |x_j - mu|
         self._bandable = max(-lo, hi) < BAND_POINT_MAX
@@ -202,8 +197,8 @@ class _Smoothing:
         """Arrays of ``shape`` for u, exp's argument and the Gaussian factor,
         reused from call to call: a bandwidth search makes some 50 penalty
         calls, and arrays made afresh are faulted in page by page whenever
-        the allocator returns them to the system.  PEN2's certificates make
-        their own (``_certified``)."""
+        the allocator returns them to the system.  PEN2's certificate, taken
+        once per search, makes its own (``_certified``)."""
         size = math.prod(shape)
         if self._scratch[0].size < size:
             self._scratch = [np.empty(size) for _ in range(3)]
@@ -280,8 +275,10 @@ class _Smoothing:
     def _offsets(self, x, cols, a, ah, u) -> None:
         """u = (x - a*x_j - (1-a)*mu) / (a*h) into ``u``, with the evaluation
         points x and the score points x_j in ``cols`` broadcast against u;
-        a and ah are floats, or arrays that broadcast against u."""
-        np.subtract(x, a * cols, out=u)
+        a and ah are floats, or arrays that broadcast against u.  a*x_j is
+        formed in u itself, so a call allocates no operand-sized array."""
+        np.multiply(cols, a, out=u)
+        np.subtract(x, u, out=u)
         u -= (1.0 - a) * self.mu
         u /= ah
 
@@ -367,20 +364,11 @@ class _Smoothing:
         return float(np.sum((self.probs - self._penalty_sums(h, "pdf")) ** 2))
 
     def pen1_floors(self, hs: np.ndarray) -> np.ndarray:
-        """A lower bound of ``pen1(h)`` for each h in ``hs``.
-
-        Each is PEN1's own terms summed over a subset of the score points
-        (``_subset_floors``): every FLOOR_STRIDE-th point at every h, and
-        the points half a stride on wherever that floor is within
-        FLOOR_REFINE times the smallest, where the bandwidths that can win
-        lie.  The sum is scaled by 1 - FLOOR_SLACK.
-        """
+        """A lower bound of ``pen1(h)`` for each h in ``hs``: PEN1's own
+        terms summed over every FLOOR_STRIDE-th score point
+        (``_subset_floors``), scaled by 1 - FLOOR_SLACK."""
         shrink = np.stack(self._shrink(np.asarray(hs, dtype=float)), axis=1)
-        subset = self._subset_floors(shrink, slice(0, None, FLOOR_STRIDE))
-        refine = np.flatnonzero(subset <= FLOOR_REFINE * subset.min())
-        subset[refine] += self._subset_floors(shrink[refine],
-                                              slice(FLOOR_STRIDE // 2, None, FLOOR_STRIDE))
-        return (1.0 - FLOOR_SLACK) * subset
+        return (1.0 - FLOOR_SLACK) * self._subset_floors(shrink, slice(0, None, FLOOR_STRIDE))
 
     def _subset_floors(self, shrink: np.ndarray, points: slice) -> np.ndarray:
         """sum_i t_i**2 over the score points ``points`` selects, for each
@@ -431,23 +419,17 @@ class _Smoothing:
         left without turning up a quarter point to the right.
 
         The slope at each probe is a row sum of -p_j u_j g_j over its band
-        (see the class docstring).  The first point counted, if any, becomes
-        ``pen2_floors``' candidate."""
+        (see the class docstring)."""
         left, right = self._penalty_sums(h, "slope")
-        counted = (left < 0.0) & ~(right > 0.0)
-        first = int(np.argmax(counted))
-        if counted[first]:
-            self._candidate = first
-        return float(np.count_nonzero(counted))
+        return float(np.count_nonzero((left < 0.0) & ~(right > 0.0)))
 
     def pen2_floors(self, hs) -> np.ndarray:
-        """A lower bound of ``pen2(h)`` for each h in ``hs``: 1.0 where one
-        candidate score point is certainly counted (``_certified``), else
-        0.0.  The candidate is the first point counted by the latest
-        ``pen2`` that counted any, or else the point nearest mu + sigma, on
-        the falling side of a unimodal density.  The grid's 64 bounds cost
-        about one PEN2, a single bound a seventh of one."""
-        return self._certified(hs, self._candidate).astype(float)
+        """A lower bound of ``pen2(h)`` for each h in ``hs``: 1.0 where the
+        score point nearest mu + sigma, on the falling side of a unimodal
+        density, is certainly counted (``_certified``), else 0.0.  The
+        grid's 64 bounds cost about one PEN2."""
+        i = int(np.argmin(np.abs(self.points - (self.mu + math.sqrt(self.sigma2)))))
+        return self._certified(hs, i).astype(float)
 
     def _certified(self, hs, i: int) -> np.ndarray:
         """Whether both slopes at score point i's probes are certainly
@@ -470,8 +452,7 @@ class _Smoothing:
         which leaves them far above the smallest float: ``pen2`` counts the
         point.
         """
-        # The refinement asks for one h at a time, and scalars broadcast faster.
-        a, ah = self._shrink(hs[0] if len(hs) == 1 else np.asarray(hs, dtype=float)[:, None])
+        a, ah = self._shrink(np.asarray(hs, dtype=float)[:, None])
         j = self.points.size
         u, arg, gauss = np.empty((3, 2, len(hs), j))
         self._offsets(self.probes[:, i, None, None], self.points, a, ah, u)
@@ -555,13 +536,14 @@ def select_bandwidth(dist: ScoreDistribution, kpen: float = 1.0) -> float:
     A 64-point log-spaced grid locates the basin; golden-section search
     refines within the bracketing grid neighbors.  Deterministic.
 
-    PEN1 and PEN2 are computed only where they can change the result, on
-    the grid and in the refinement (see ``_golden_section``).  PEN2 and
-    kpen are nonnegative and rounding is monotone, so no penalty is below
+    PEN1 and PEN2 are computed only where they can change the result: on
+    the grid as below, and in the refinement, which skips PEN2 wherever
+    PEN1 alone already loses (see ``_golden_section``).  PEN2 and kpen are
+    nonnegative and rounding is monotone, so no penalty is below
     PEN1 + kpen m (PEN1 is never NaN) for a lower bound m of its PEN2
     (``_Smoothing.pen2_floors``), and no PEN1 is below its floor
-    (``_Smoothing.pen1_floors``).  Both bounds are taken for the whole grid
-    at once, and each grid point is keyed by floor + kpen m.  The points
+    (``_Smoothing.pen1_floors``).  Both bounds are taken once, for the
+    whole grid, and each grid point is keyed by floor + kpen m.  The points
     are visited in one pass in ascending (key, index) order, which stops
     at the first key that exceeds the best penalty so far or equals it at
     a larger index: every point left has no smaller penalty.  A point
@@ -592,17 +574,9 @@ def select_bandwidth(dist: ScoreDistribution, kpen: float = 1.0) -> float:
             best, value = i, total
 
     def total(h: float, loses=lambda v: False) -> float:
-        """The penalty at h, or a lower bound of it for which ``loses``
-        holds.  PEN2's floor is sought only where a floor of one could make
-        the bound lose."""
+        """The penalty at h, or PEN1 alone where ``loses`` holds for it."""
         pen1 = smoothing.pen1(h)
-        if loses(pen1):
-            return pen1
-        if kpen != 0.0 and loses(pen1 + kpen):
-            bound = pen1 + kpen * float(smoothing.pen2_floors([h])[0])
-            if loses(bound):
-                return bound
-        return smoothing.penalty(h, kpen, pen1)
+        return pen1 if loses(pen1) else smoothing.penalty(h, kpen, pen1)
 
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
@@ -614,8 +588,7 @@ def _golden_section(total, lo: float, hi: float, best: tuple[float, float],
     """Golden-section refinement that returns the best *evaluated* point.
 
     ``total(h, loses)`` is the full penalty at h, or a lower bound of it
-    for which ``loses`` holds: PEN1, or PEN1 + kpen times PEN2's
-    certificate at h (``_Smoothing.pen2_floors``).  The penalty has step
+    for which ``loses`` holds: PEN1 alone.  The penalty has step
     discontinuities (PEN2 is integer-valued), so the plain golden-section
     midpoint may land just past a step; tracking the best evaluation keeps
     the result on the right side of it.

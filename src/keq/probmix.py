@@ -5,8 +5,10 @@ cross-population score distributions are identified through the
 covariates: each covariate cell is reweighted by the ratio of its marginal
 probability in the other population to its own.  The EG design is the
 case of one cell (an empty covariate space): both cell marginals are 1,
-so r and s are the two score marginals.  ``PipelineSpec("EG")`` runs it
-through this function on datasets restricted to no covariates.
+so r and s are the two score marginals, returned as they are rather than
+weighted by a ratio t_q / t_p that may round an ulp off 1.
+``PipelineSpec("EG")`` runs it through this function on datasets
+restricted to no covariates.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ def nec_target_probs(p: JointProbabilityTable, q: JointProbabilityTable,
         raise ValidationError(f"omega {omega} outside [0, 1]")
     if p.covariates != q.covariates:
         raise ValidationError("populations do not share a covariate space")
+    if p.covariates.n_cells == 1:
+        return (ScoreDistribution(p.scale, p.probs[:, 0]),
+                ScoreDistribution(q.scale, q.probs[:, 0]))
     t_p = p.covariate_marginal()
     t_q = q.covariate_marginal()
     support_p = t_p > 0.0

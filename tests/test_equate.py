@@ -32,6 +32,8 @@ from keq.equate import (
     equate_gke,
     equate_sequential,
 )
+from keq.presmooth import LoglinearSpec, presmooth_counts
+from keq.probmix import nec_target_probs
 from keq.simulate import OTHER_SCORE, ScenarioSpec, gen_population
 
 PASSTHROUGH = GkePipelineConfig(presmooth=None)
@@ -354,6 +356,23 @@ def test_eg_ignores_covariates_and_omega():
         spec = PipelineSpec("EG", config=GkePipelineConfig(omega=omega))
         for data in ((p_data, q_data), bare):
             assert np.max(np.abs(spec.run(*data).equated - base)) < 1e-12
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.3, 0.5, 1.0])
+def test_eg_targets_are_the_score_marginals_bit_for_bit(omega):
+    # Scenario 1, replication 0: raw and presmoothed, one of the two
+    # one-cell marginals rounds an ulp off 1, so t_q / t_p is not 1, and
+    # EG's r and s are still the score marginals to the bit.
+    scenario = ScenarioSpec.from_table(1)
+    p_data, q_data = (gen_population(pop, scenario, seed=substream(0, 0, key)).restrict(())
+                      for key, pop in enumerate("PQ"))
+    nec = NecInput.from_datasets(p_data, q_data, omega=omega)
+    fitted = [presmooth_counts(d.counts(), d.scale, d.covariates, LoglinearSpec()).fitted_probs
+              for d in (p_data, q_data)]
+    for p, q in ((nec.p, nec.q), fitted):
+        r, s = nec_target_probs(p, q, omega)
+        assert np.array_equal(r.probs, p.probs.sum(axis=1))
+        assert np.array_equal(s.probs, q.probs.sum(axis=1))
 
 
 def synthetic_form(rng, n, mean_shift=0.0, weak=False):
