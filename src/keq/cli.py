@@ -53,7 +53,7 @@ from .simulate import (
     ScenarioSpec,
     run_scenario,
 )
-from .uncertainty import BootstrapConfig, bootstrap_see
+from .uncertainty import BootstrapConfig, bootstrap_see, failure_messages
 
 METHOD_FLAGS = {"gke": METHOD_GKE, "seq": METHOD_SEQ}
 
@@ -309,6 +309,7 @@ def cmd_equate(args) -> int:
         if result.n_failed:
             # The SEE then comes from fewer rows than the replicates asked for.
             metadata["bootstrap_failed"] = result.n_failed
+            metadata["bootstrap_failure_messages"] = failure_messages(result.failures)
         metadata["bootstrap_seed"] = args.seed
         if args.dump_replicates:
             replicates = (f"replicate_{b}" for b in range(len(result.replicates)))

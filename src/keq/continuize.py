@@ -10,8 +10,6 @@ keeps the discrete mean and variance exactly.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,12 +39,12 @@ PEN2_OFFSET = 0.25
 # k from the exp cut with a relative BAND_SLACK to spare, while a*h exceeds
 # BAND_AH_MIN (so u stays finite) and the score points are below
 # BAND_POINT_MAX in magnitude (so u's rounding is far below a score point);
-# see _Smoothing.  The band's operands are shared by every smoothing on a
-# score scale, up to BAND_CACHE_BYTES in all (see _band_operands).
+# see _Smoothing.  Each smoothing builds the band's operands once, at the
+# widest half-width, and slices every narrower band from them (see
+# _Smoothing._band).
 BAND_SLACK = 1e-9
 BAND_AH_MIN = 1e-280
 BAND_POINT_MAX = 2.0**32
-BAND_CACHE_BYTES = 2 * 2**20
 
 # np.exp(t) is exactly 0.0 for every t <= EXP_ZERO (it underflows below
 # about -745.13), and below DBL_MIN, a subnormal, for every t <= EXP_NORMAL
@@ -96,53 +94,6 @@ def _phi(u: np.ndarray) -> np.ndarray:
     return phi
 
 
-_band_cache: OrderedDict = OrderedDict()
-_band_cache_lock = threading.Lock()
-
-
-def _band_operands(points: np.ndarray, probes: np.ndarray, k: int | None) -> dict:
-    """Per term, the operands of PEN1's ("pdf") or PEN2's ("slope") kernel
-    rows on the band of half-width k, one band column c = 0 .. 2k per row
-    of a (2k + 1, J) array and one kernel row i per column of it: row i's
-    evaluation point (a score point, or a probe), and score point i + c - k,
-    or for a column beyond the scale the point at that end (it carries
-    probability zero; see ``_Smoothing._band``).  With k None, c runs over
-    every score point.  Both are contiguous, so u takes one pass where a
-    broadcast would loop.
-
-    Shared by every smoothing on the same score scale, read-only, and
-    dropped least recently used first once they pass BAND_CACHE_BYTES in
-    all; operands larger than that on their own are not kept here.
-    """
-    key = (float(points[0]), points.size, k)
-    with _band_cache_lock:
-        operands = _band_cache.get(key)
-        if operands is not None:
-            _band_cache.move_to_end(key)
-            return operands
-    j = points.size
-    if k is None:
-        width, cols = j, np.repeat(points[:, None], j, axis=1)
-    else:
-        width = 2 * k + 1
-        cols = np.lib.stride_tricks.sliding_window_view(np.pad(points, k, "edge"), j).copy()
-    operands = {term: (np.repeat(x[..., None, :], width, axis=-2), cols)
-                for term, x in (("pdf", points), ("slope", probes))}
-    for rows, _ in operands.values():
-        rows.flags.writeable = False
-    cols.flags.writeable = False
-    with _band_cache_lock:
-        _band_cache[key] = operands
-        while sum(_operand_bytes(v) for v in _band_cache.values()) > BAND_CACHE_BYTES:
-            _band_cache.popitem(last=False)
-    return operands
-
-
-def _operand_bytes(operands: dict) -> int:
-    """Bytes held by one entry of ``_band_operands``' cache."""
-    return operands["pdf"][1].nbytes + sum(rows.nbytes for rows, _ in operands.values())
-
-
 class _Smoothing:
     """Gaussian-kernel smoothing of one score distribution, at any bandwidth.
 
@@ -153,8 +104,9 @@ class _Smoothing:
     CDF and density at any x (``terms``), PEN1's density and PEN2's slope
     (``_penalty_sums``), and lower bounds of PEN1 and PEN2 at a batch of
     bandwidths (``pen1_floors``, and ``pen2_floors`` from the slopes at one
-    score point).  Its scratch arrays (see ``_work``) make it unsafe to
-    share between threads.
+    score point).  Its scratch arrays (``_work``) and band operands
+    (``_windows``) are its own: two smoothings share nothing, but one
+    smoothing is unsafe to share between threads.
 
     PEN1 and PEN2 sum p_j g_ij at the score points and -p_j u_ij g_ij at
     the probes only over a band where g can be nonzero: the columns j
@@ -175,7 +127,9 @@ class _Smoothing:
     4k + 2 < J, where it is under half the row, and while a h exceeds
     BAND_AH_MIN and the score points are below BAND_POINT_MAX in
     magnitude, so that u is finite and its rounding small.  Otherwise
-    the rows span every column.
+    the rows span every column.  The band's operands are built once, at
+    the widest k the band takes, and each k's are slices of them
+    (``_band``).
     """
 
     def __init__(self, dist: ScoreDistribution):
@@ -189,16 +143,13 @@ class _Smoothing:
         lo, hi = float(self.points[0]), float(self.points[-1])
         self._reach = max(self.mu - lo, hi - self.mu)  # max_j |x_j - mu|
         self._bandable = max(-lo, hi) < BAND_POINT_MAX
-        # Made by the first penalty (see _band): a smoothing that only
-        # evaluates ``terms`` allocates none of it.
-        self._bands: dict = {}
+        self._widest = max((self.points.size - 3) // 4, 0)  # the largest k with 4k + 2 < J
 
     def _work(self, shape: tuple) -> list:
         """Arrays of ``shape`` for u, exp's argument and the Gaussian factor,
-        reused from call to call: a bandwidth search makes some 50 penalty
-        calls, and arrays made afresh are faulted in page by page whenever
-        the allocator returns them to the system.  PEN2's certificate, taken
-        once per search, makes its own (``_certified``)."""
+        reused from call to call by every kernel sum: a bandwidth search
+        makes some 50 penalty calls, and arrays made afresh are faulted in
+        page by page whenever the allocator returns them to the system."""
         size = math.prod(shape)
         if self._scratch[0].size < size:
             self._scratch = [np.empty(size) for _ in range(3)]
@@ -323,10 +274,12 @@ class _Smoothing:
         -sum_j p_j u_ij g_ij ("slope", rows at the probes) for every row i,
         with exp taken above ``cut``, each row summed over its 2k + 1 band
         columns at the half-width k of ``_half_width``, or over every column
-        where k is None, one column at a time (see the class docstring)."""
+        where k is None, one column at a time (see the class docstring).
+        The operands are ``_band``'s views; u and g go into ``_work``."""
         k = self._half_width(a, ah, cut)
-        rows, cols, probs = self._band(k)[term]
-        u, arg, gauss = self._work(rows.shape)
+        rows, cols, probs = self._band(k, term)
+        # u is (..., band columns, rows); the whole kernel's operands broadcast to it.
+        u, arg, gauss = self._work((*rows.shape[:-2], len(cols), rows.shape[-1]))
         self._offsets(rows, cols, a, ah, u)
         self._gauss(u, arg, gauss, cut)
         if term == "slope":
@@ -341,21 +294,45 @@ class _Smoothing:
             return None
         k = math.ceil(math.sqrt(-2.0 * cut) * (1.0 + BAND_SLACK) * ah + PEN2_OFFSET
                       + (1.0 - a) * self._reach)
-        return k if 4 * k + 2 < self.points.size else None
+        return k if k <= self._widest else None
 
-    def _band(self, k: int | None) -> dict:
-        """Per term, the band's operands at half-width k (``_band_operands``)
-        and the score probability of each of their entries, zero beyond the
-        scale.  Kept per k for the life of the smoothing."""
-        band = self._bands.get(k)
-        if band is None:
-            j = self.points.size
-            probs = (np.broadcast_to(self.probs[:, None], (j, j)) if k is None else
-                     np.lib.stride_tricks.sliding_window_view(np.pad(self.probs, k), j))
-            band = self._bands[k] = {
-                term: (rows, cols, probs)
-                for term, (rows, cols) in _band_operands(self.points, self.probes, k).items()}
-        return band
+    def _band(self, k: int | None, term: str) -> tuple:
+        """The operands of PEN1's ("pdf") or PEN2's ("slope") kernel rows on
+        the band of half-width k, each a (2k + 1, J) array with one band
+        column c = 0 .. 2k per row and one kernel row i per column: row i's
+        evaluation point (a score point, or a probe); score point
+        i + c - k, or for a column beyond the scale the point at that end;
+        and that score point's probability, zero beyond the scale.  Rows
+        K - k .. K + k of ``_windows``, so every band is a view.  With k
+        None, c runs over every score point, and the three are views that
+        broadcast to (J, J): a row of the evaluation points, and a column
+        of the score points and of their probabilities.
+        """
+        if k is None:
+            x = self.points if term == "pdf" else self.probes
+            return x[..., None, :], self.points[:, None], self.probs[:, None]
+        rows, cols, probs = self._windows[term]
+        band = slice(self._widest - k, self._widest + k + 1)
+        return rows[..., band, :], cols[band], probs[band]
+
+    @cached_property
+    def _windows(self) -> dict:
+        """``_band``'s operands at the widest half-width K the band takes
+        (``_widest``), made once by the first banded penalty: a smoothing
+        that only evaluates ``terms`` allocates none of them.  The rows and
+        columns are contiguous copies, so u takes one pass where a broadcast
+        would loop; the probabilities are a view."""
+        j, widest = self.points.size, self._widest
+        # The score points padded with their end points, and the
+        # probabilities with zeros, windowed together (np.pad costs more).
+        padded = np.stack([
+            np.concatenate([np.full(widest, self.points[0]), self.points,
+                            np.full(widest, self.points[-1])]),
+            np.concatenate([np.zeros(widest), self.probs, np.zeros(widest)])])
+        cols, probs = np.lib.stride_tricks.sliding_window_view(padded, j, axis=-1)
+        cols = cols.copy()
+        return {term: (np.repeat(x[..., None, :], 2 * widest + 1, axis=-2), cols, probs)
+                for term, x in (("pdf", self.points), ("slope", self.probes))}
 
     def pen1(self, h: float) -> float:
         """Squared gap between the score probabilities and the density at
@@ -436,11 +413,11 @@ class _Smoothing:
         negative in ``pen2(h)``, for each h in ``hs``.
 
         u and g are formed for the two probes over all J columns at every h
-        at once, from ``_shrink``'s a and a*h with ``_band_product``'s
-        operations (``_offsets``, ``_gauss``) at this smoothing's exp cut,
-        so each term p_j u_j g_j has the bits, up to sign and an ulp of exp,
-        of the term that ``pen2`` sums, and is zero outside ``pen2``'s band
-        (g is 0 there).  Each slope's terms are summed row by row, so a
+        at once, in ``_work``'s arrays, from ``_shrink``'s a and a*h with
+        ``_band_product``'s operations (``_offsets``, ``_gauss``) at this
+        smoothing's exp cut, so each term p_j u_j g_j has the bits, up to
+        sign and an ulp of exp, of the term that ``pen2`` sums, and is zero
+        outside ``pen2``'s band (g is 0 there).  Each slope's terms are summed row by row, so a
         point's certificate does not depend on the batch.  Each sum, there
         and over ``pen2``'s band, in any order, is within
         (J + 2) 2**-53 sum_j |p_j u_j g_j| of the exact one, counting the
@@ -454,7 +431,7 @@ class _Smoothing:
         """
         a, ah = self._shrink(np.asarray(hs, dtype=float)[:, None])
         j = self.points.size
-        u, arg, gauss = np.empty((3, 2, len(hs), j))
+        u, arg, gauss = self._work((2, len(hs), j))
         self._offsets(self.probes[:, i, None, None], self.points, a, ah, u)
         self._gauss(u, arg, gauss, self._exp_cut)
         gauss *= u

@@ -30,7 +30,7 @@ from .core import (
 )
 from .equate import PipelineSpec
 from .metrics import MetricsReport
-from .uncertainty import replicate, run_pairs
+from .uncertainty import failure_messages, replicate, run_pairs
 
 __all__ = [
     "ScenarioSpec",
@@ -287,6 +287,7 @@ def run_scenario(scenario: ScenarioSpec, replications: int,
         "n": scenario.n,
         "replications": replications,
         "failed_replications": len(failures),
+        **({"failure_messages": failure_messages(failures)} if failures else {}),
         "seed": seed,
         "truth": ("identity" if scenario.y_transform == (1.0, 0.0)
                   else f"{scenario.y_transform[0]}*x+{scenario.y_transform[1]}"),

@@ -17,6 +17,7 @@ share of failed indices.  Any partition of the range gives the same rows.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
@@ -27,7 +28,7 @@ from .equate import PipelineSpec  # re-exported
 from .metrics import mc_see
 
 __all__ = ["BootstrapConfig", "PipelineSpec", "BootstrapResult",
-           "bootstrap_replicates", "bootstrap_see", "replicate"]
+           "bootstrap_replicates", "bootstrap_see", "failure_messages", "replicate"]
 
 MAX_FAILURE_FRACTION = 0.05
 
@@ -77,6 +78,15 @@ def replicate(chunk, n: int, threads: int, what: str, label: str):
             f"{label} {failures[0][0]}: {failures[0][1]}"
         )
     return rows, failures
+
+
+def failure_messages(failures) -> str:
+    """Each distinct message of ``failures``, ``(index, message)`` pairs in
+    index order, with its count, as a JSON object in order of first failure."""
+    # Imported here: ``import keq`` loads no json, and only failures need it.
+    import json
+
+    return json.dumps(Counter(message for _, message in failures))
 
 
 @dataclass(frozen=True)

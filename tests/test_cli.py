@@ -60,6 +60,26 @@ def person_files(tmp_path):
     return p_path, q_path
 
 
+def failing_at(index, call):
+    """``call`` that raises on its call number ``index`` (from 0), as a
+    pipeline spec failing on one replication index of a serial run."""
+    calls = []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == index + 1:
+            raise ValidationError("forced failure")
+        return call(*args)
+
+    return failing
+
+
+def metadata_lines(path):
+    """The '#' metadata lines of a result CSV."""
+    return [line for line in path.read_text(encoding="utf-8").splitlines()
+            if line.startswith("#")]
+
+
 NEC_FLAGS = [
     "--covariates", "school,attempt,other_score",
     "--bin", "other_score=50,60,70,80,100",
@@ -205,31 +225,25 @@ class TestCmdEquate:
 
     def test_failed_bootstrap_replicate_is_counted_in_the_header(self, person_files, tmp_path,
                                                                  monkeypatch):
+        # Replicate 16 of 40 fails: the header gives the count and the
+        # message after bootstrap_replicates, and a run where nothing fails
+        # has neither line.
         p_path, q_path = person_files
         argv = ["equate", "--design", "eg", "--p", str(p_path), "--q", str(q_path),
-                "--scale", "0,100", "--no-presmooth", "--bootstrap", "20", "--seed", "5"]
+                "--scale", "0,100", "--no-presmooth", "--bootstrap", "40", "--seed", "5",
+                "--threads", "1"]
         assert main([*argv, "--out", str(tmp_path / "whole.csv")]) == 0
-        resample, calls = keq.uncertainty._resample, []
-
-        def fail_third(*args):
-            calls.append(None)
-            if len(calls) == 3:
-                raise ValidationError("forced failure")
-            return resample(*args)
-
-        monkeypatch.setattr(keq.uncertainty, "_resample", fail_third)
+        monkeypatch.setattr(PipelineSpec, "__call__", failing_at(16, PipelineSpec.__call__))
         assert main([*argv, "--out", str(tmp_path / "one_failed.csv"),
                      "--dump-replicates", str(tmp_path / "reps.csv")]) == 0
-        whole, one_failed = ((tmp_path / name).read_text(encoding="utf-8").splitlines()
-                             for name in ("whole.csv", "one_failed.csv"))
-        assert "# bootstrap_replicates: 20" in whole
-        assert not any(line.startswith("# bootstrap_failed") for line in whole)
-        at = one_failed.index("# bootstrap_replicates: 20")
-        assert one_failed[at + 1] == "# bootstrap_failed: 1"
-        assert [line for line in one_failed if line.startswith("#") and line != one_failed[at + 1]
-                ] == [line for line in whole if line.startswith("#")]
+        whole, one_failed = (metadata_lines(tmp_path / name) for name in ("whole.csv",
+                                                                          "one_failed.csv"))
+        at = whole.index("# bootstrap_replicates: 40")
+        assert one_failed == [*whole[:at + 1], "# bootstrap_failed: 1",
+                              '# bootstrap_failure_messages: {"forced failure": 1}',
+                              *whole[at + 1:]]
         header = (tmp_path / "reps.csv").read_text(encoding="utf-8").splitlines()[0]
-        assert header.split(",")[-1] == "replicate_18"
+        assert header.split(",")[-1] == "replicate_38"
 
     def test_malformed_csv_exits_2_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -438,6 +452,21 @@ class TestCmdSimulate:
             assert np.all(np.isfinite(vecs["see"]))
             assert np.all(np.isfinite(vecs["rmse"]))
         assert "mean_ediff" in summary and "dtm_exceed" in summary
+
+    def test_failed_replication_gives_its_message(self, tmp_path, monkeypatch):
+        # Replication 16 of 40 fails: the header gives its message and count
+        # after failed_replications; every other header line is that of the
+        # run where nothing fails, which has no message line.
+        argv = ["simulate", "--scenario", "1", "--reps", "40", "--seed", "1", "--methods", "gke",
+                "--score-range", "0,40", "--threads", "1"]
+        assert main([*argv, "--out", str(tmp_path / "whole.csv")]) == 0
+        monkeypatch.setattr(PipelineSpec, "__call__", failing_at(16, PipelineSpec.__call__))
+        assert main([*argv, "--out", str(tmp_path / "one_failed.csv")]) == 0
+        whole, one_failed = (metadata_lines(tmp_path / name) for name in ("whole.csv",
+                                                                          "one_failed.csv"))
+        at = whole.index("# failed_replications: 0")
+        assert one_failed == [*whole[:at], "# failed_replications: 1",
+                              '# failure_messages: {"forced failure": 1}', *whole[at + 1:]]
 
     def test_unknown_scenario_exits_2(self, tmp_path):
         code = main(["simulate", "--scenario", "99", "--reps", "2",

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from unittest.mock import patch
 
 import numpy as np
@@ -12,10 +13,8 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import binom, norm, poisson
 
-import keq.continuize
 from keq.core import EquatingTable, ScoreDistribution, ScoreScale, ValidationError, substream
 from keq.continuize import (
-    BAND_CACHE_BYTES,
     EXP_NORMAL,
     EXP_ZERO,
     H_MAX_SD_FACTOR,
@@ -183,9 +182,22 @@ def penalty_terms_within_bound(dist, h, smoothing=None):
     return pen1, pen2
 
 
-def cached_operand_bytes():
-    """Bytes held by the band operands every smoothing shares."""
-    return sum(keq.continuize._operand_bytes(v) for v in keq.continuize._band_cache.values())
+def band_layout_oracle(smoothing, k):
+    """Per term, the band's operands built for half-width k alone: the
+    evaluation points repeated over the 2k + 1 band rows, the edge-padded
+    score points and the zero-padded probabilities, one window per row;
+    with k None, every score point in every (J, J) entry's column."""
+    points, probs, j = smoothing.points, smoothing.probs, smoothing.points.size
+    window = np.lib.stride_tricks.sliding_window_view
+    if k is None:
+        width = j
+        cols, weights = (np.repeat(v[:, None], j, axis=1) for v in (points, probs))
+    else:
+        width = 2 * k + 1
+        cols = window(np.pad(points, k, "edge"), j).copy()
+        weights = window(np.pad(probs, k), j)
+    return {term: (np.repeat(x[..., None, :], width, axis=-2), cols, weights)
+            for term, x in (("pdf", points), ("slope", smoothing.probes))}
 
 
 def subnormal_redos():
@@ -830,10 +842,8 @@ class TestBandedKernel:
 
     def test_replications_stay_within_their_memory(self):
         # The tracemalloc peak of three scenario-5 replications (GKE and
-        # sequential GKE) from an empty operand cache: 3.3 MB of working
-        # memory, and 1.8 MB of band operands, within BAND_CACHE_BYTES.
+        # sequential GKE), band operands included: 3.4 MB.
         scenario = ScenarioSpec.from_table(5)
-        keq.continuize._band_cache.clear()
         tracemalloc.start()
         try:
             for rep in range(3):
@@ -844,8 +854,7 @@ class TestBandedKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert cached_operand_bytes() <= BAND_CACHE_BYTES
-        assert peak <= 4e6 + BAND_CACHE_BYTES
+        assert peak <= 4e6
 
     def test_penalties_allocate_no_operand_sized_array(self):
         # Once the scratch arrays exist, PEN1 on the full 101 x 101 kernel
@@ -862,29 +871,49 @@ class TestBandedKernel:
             tracemalloc.stop()
         assert peak < 101 * 101 * 8
 
-    def test_operand_cache_keeps_to_its_budget(self):
-        # A 301-point scale's operands pass the budget: the cache drops the
-        # oldest first, and keeps none larger than the budget on its own
-        # (the full kernel's, 2.9 MB, at h = 20).
-        keq.continuize._band_cache.clear()
+    def test_wide_scale_penalties_hold_their_bound(self):
+        # One 301-point smoothing through bands of many half-widths, sliced
+        # from one set of windows, and the whole kernel at h = 20.
         dist = binomial_dist(300, 0.5)
         smoothing = _Smoothing(dist)
+        assert smoothing._half_width(*smoothing._shrink(20.0), EXP_NORMAL) is None
         for h in [*np.linspace(0.1, 2.0, 8), 20.0]:
             penalty_terms_within_bound(dist, h, smoothing)
-            assert cached_operand_bytes() <= BAND_CACHE_BYTES
-        assert None in smoothing._bands
-        assert len(smoothing._bands) > len(keq.continuize._band_cache)
-        assert all(k is not None for _, _, k in keq.continuize._band_cache)
+
+    @pytest.mark.parametrize("j", [3, 4, 7, 20, 101, 301])
+    def test_bands_equal_per_k_operands_bit_for_bit(self, j):
+        # K is the widest half-width the band takes; every k up to it, and
+        # the whole kernel, has the operands built for that k alone, once
+        # broadcast to their shape.
+        smoothing = _Smoothing(binomial_dist(j - 1, 0.4))
+        widest = smoothing._widest
+        assert 4 * widest + 2 < j <= 4 * widest + 6
+        for k in [*range(widest + 1), None]:
+            oracle = band_layout_oracle(smoothing, k)
+            for term in ("pdf", "slope"):
+                rows, cols, probs = smoothing._band(k, term)
+                assert (*rows.shape[:-2], len(cols), rows.shape[-1]) == oracle[term][0].shape
+                for got, want in zip((rows, cols, probs), oracle[term]):
+                    assert np.broadcast_to(got, want.shape).tobytes() == want.tobytes()
+
+    def test_concurrent_searches_equal_the_serial_run(self):
+        # Nothing module-level is shared: two threads searching scenario 5's
+        # targets at once each get the serial run's bandwidths.
+        targets = list(scenario_targets(5, reps=2))
+
+        def search():
+            return np.array([select_bandwidth(dist) for dist in targets]).tobytes()
+
+        serial = search()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = [pool.submit(search) for _ in range(2)]
+            assert [run.result() for run in runs] == [serial, serial]
 
     def test_inversion_allocates_no_penalty_scratch(self):
-        # The inversion sums its own terms: it forms no band operands.
+        # The inversion sums its own terms: it builds no band windows.
         c = ContinuizedCdf(binomial_dist(40, 0.3), 0.5)
-        cached = list(keq.continuize._band_cache)
-        with patch.object(keq.continuize, "_band_operands",
-                          side_effect=keq.continuize._band_operands) as operands:
-            inverse_cdf(c, np.linspace(0.01, 0.99, 25))
-        assert c._smoothing._bands == {} and operands.call_count == 0
-        assert list(keq.continuize._band_cache) == cached
+        inverse_cdf(c, np.linspace(0.01, 0.99, 25))
+        assert "_windows" not in vars(c._smoothing)
 
 
 class TestNormalCdf:
@@ -1049,6 +1078,22 @@ class TestMomentPreservation:
             var = np.trapezoid(grid**2 * pdf, grid) - mean**2
             assert abs(mean - d.mean) < 1e-6
             assert abs(var - d.variance) < 1e-4 * d.variance
+
+    @PROPERTY
+    @given(continuized())
+    def test_continuization_keeps_mean_and_variance(self, c):
+        # The trapezoid rule with steps of half the kernels' width a h or
+        # less is exact far below the tolerance for a sum of Gaussians; the
+        # range covers mu +/- 12 (sigma + h), and every kernel to 12 widths.
+        # Over these examples both moments hold to 1.5e-15 relative.
+        mu, sigma, points = c.mu, math.sqrt(c.sigma2), c._smoothing.points
+        ah = c._smoothing._shrink(c.h)[1]
+        lo = min(mu - 12 * (sigma + c.h), points[0] - 12 * c.h)
+        hi = max(mu + 12 * (sigma + c.h), points[-1] + 12 * c.h)
+        x = np.linspace(lo, hi, math.ceil((hi - lo) / (0.5 * ah)) + 1)
+        pdf = kernel_pdf(c, x)
+        assert np.trapezoid(x * pdf, x) == pytest.approx(mu, rel=1e-10, abs=1e-10 * sigma)
+        assert np.trapezoid((x - mu) ** 2 * pdf, x) == pytest.approx(c.sigma2, rel=1e-10)
 
     def test_large_bandwidth_approaches_gaussian(self):
         d = binomial_dist(20, 0.35)
